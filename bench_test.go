@@ -2,7 +2,9 @@ package lcrs
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -188,6 +190,32 @@ func BenchmarkBrowserBundleDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeBrowserBundle(data, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClientLoad is the whole model-loading path as a browser session
+// pays it: bundle GET over loopback, inference-only skeleton, packed
+// sections decoded straight into packed layers.
+func BenchmarkClientLoad(b *testing.B) {
+	cfg := ModelConfig{Classes: 10, InC: 3, InH: 32, InW: 32, WidthScale: 0.5, Seed: 1}
+	m, err := Build("lenet", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewEdgeServer()
+	defer s.Close()
+	if _, err := s.Register("demo", m); err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := NewWebClient(srv.URL).LoadModel(ctx, "demo", "lenet", cfg, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -222,7 +222,7 @@ func TestBinaryConvBiasGradientNumeric(t *testing.T) {
 		}
 		return s
 	}
-	c.Bias.Grad.Zero()
+	c.Bias.EnsureGrad().Zero()
 	c.Forward(x, true)
 	c.Backward(proj.Clone())
 

@@ -24,6 +24,8 @@ type packedStage struct {
 
 // PackBranch converts a trained binary branch (a Sequential mixing
 // binary.Conv2D/binary.Linear with float layers) into its packed executor.
+// Layers that are packed already (PackedLayer, as models.BuildClient builds
+// them) are taken as they are: nothing is packed a second time.
 func PackBranch(seq *nn.Sequential) *PackedBranch {
 	pb := &PackedBranch{}
 	nn.Walk(seq, func(l nn.Layer) {
@@ -38,6 +40,8 @@ func PackBranch(seq *nn.Sequential) *PackedBranch {
 			pb.stages = append(pb.stages, packedStage{conv: PackConv2D(t)})
 		case *Linear:
 			pb.stages = append(pb.stages, packedStage{linear: PackLinear(t)})
+		case PackedLayer:
+			pb.stages = append(pb.stages, packedStage{conv: t.Conv, linear: t.Linear})
 		default:
 			pb.stages = append(pb.stages, packedStage{float: l})
 		}

@@ -108,17 +108,21 @@ func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, g.OutH(), g.OutW()}
 }
 
-// FLOPs implements nn.Layer. Binary dot products replace multiply-adds with
-// XNOR+popcount over 64-wide lanes; we charge 2/64 of the float cost for
-// the binary part plus the scaling multiplies, matching the 58x ideal
-// speedup XNOR-Net reports for the convolution itself.
+// xnorFLOPs charges outputs binary dot products of length k. Binary dot
+// products replace multiply-adds with XNOR+popcount over 64-wide lanes; we
+// charge 2/64 of the float cost for the binary part plus the scaling
+// multiplies, matching the 58x ideal speedup XNOR-Net reports for the
+// convolution itself.
+func xnorFLOPs(outputs, k int) int64 {
+	binOps := int64(outputs) * int64(2*k/64+1)
+	scaleOps := int64(outputs) * 2
+	return binOps + scaleOps
+}
+
+// FLOPs implements nn.Layer; see xnorFLOPs for the 64-lane accounting.
 func (c *Conv2D) FLOPs(in []int) int64 {
 	g := c.geom(in)
-	k := int64(c.InC * c.KH * c.KW)
-	out := int64(c.OutC) * int64(g.OutH()) * int64(g.OutW())
-	binOps := out * (2*k/64 + 1)
-	scaleOps := out * 2
-	return binOps + scaleOps
+	return xnorFLOPs(c.OutC*g.OutH()*g.OutW(), c.InC*c.KH*c.KW)
 }
 
 // Forward implements nn.Layer.
@@ -280,12 +284,12 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			for _, v := range doutI.Row(ch) {
 				s += v
 			}
-			c.Bias.Grad.Data[ch] += s
+			c.Bias.EnsureGrad().Data[ch] += s
 		}
 	}
 
 	WeightGradThrough(
-		c.Weight.Grad.Reshape(c.OutC, k),
+		c.Weight.EnsureGrad().Reshape(c.OutC, k),
 		dEstTotal, w2d, c.lastAlpha,
 	)
 	return dx

@@ -51,10 +51,8 @@ func (l *Linear) OutShape(in []int) []int {
 	return []int{l.Out}
 }
 
-// FLOPs implements nn.Layer; see Conv2D.FLOPs for the 64-lane accounting.
-func (l *Linear) FLOPs(in []int) int64 {
-	return int64(l.Out)*int64(2*l.In/64+1) + int64(l.Out)*2
-}
+// FLOPs implements nn.Layer; see xnorFLOPs for the 64-lane accounting.
+func (l *Linear) FLOPs(in []int) int64 { return xnorFLOPs(l.Out, l.In) }
 
 // Forward implements nn.Layer.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -110,12 +108,12 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// dW~ (Out x In) = dOut^T (Out x N) x signX (N x In)
 	dEst := tensor.MatMulTransA(dout, l.lastSignX)
-	WeightGradThrough(l.Weight.Grad, dEst, l.Weight.Value, l.lastAlpha)
+	WeightGradThrough(l.Weight.EnsureGrad(), dEst, l.Weight.Value, l.lastAlpha)
 
 	for i := 0; i < n; i++ {
 		row := dout.Row(i)
 		for j, v := range row {
-			l.Bias.Grad.Data[j] += v
+			l.Bias.EnsureGrad().Data[j] += v
 		}
 	}
 

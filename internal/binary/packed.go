@@ -3,6 +3,7 @@ package binary
 import (
 	"fmt"
 
+	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
 
@@ -22,18 +23,26 @@ type PackedConv2D struct {
 	W      *PackedMatrix // OutC rows of InC*KH*KW bits
 }
 
+// NewPackedConv2D builds a packed convolution from its geometry alone, with
+// zeroed scales, biases and sign bits: the skeleton a browser bundle's
+// packed section is decoded into, with no float weights in between.
+func NewPackedConv2D(name string, inC, outC, kh, kw, stride, pad int) *PackedConv2D {
+	return &PackedConv2D{
+		Name: name, InC: inC, OutC: outC, KH: kh, KW: kw,
+		Stride: stride, Pad: pad,
+		Alpha: make([]float32, outC),
+		Bias:  make([]float32, outC),
+		W:     NewPackedMatrix(outC, inC*kh*kw),
+	}
+}
+
 // PackConv2D converts a trained training-time binary conv into its packed
 // deployment form.
 func PackConv2D(c *Conv2D) *PackedConv2D {
-	k := c.InC * c.KH * c.KW
-	p := &PackedConv2D{
-		Name: c.name, InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
-		Stride: c.Stride, Pad: c.Pad,
-		Alpha: FilterAlphas(c.Weight.Value),
-		Bias:  append([]float32(nil), c.Bias.Value.Data...),
-		W:     NewPackedMatrix(c.OutC, k),
-	}
-	w2d := c.Weight.Value.Reshape(c.OutC, k)
+	p := NewPackedConv2D(c.name, c.InC, c.OutC, c.KH, c.KW, c.Stride, c.Pad)
+	p.Alpha = FilterAlphas(c.Weight.Value)
+	copy(p.Bias, c.Bias.Value.Data)
+	w2d := c.Weight.Value.Reshape(c.OutC, p.W.N)
 	for o := 0; o < c.OutC; o++ {
 		p.W.PackRow(o, w2d.Row(o))
 	}
@@ -111,18 +120,38 @@ type PackedLinear struct {
 	W       *PackedMatrix // Out rows of In bits
 }
 
+// NewPackedLinear builds a packed dense layer from its dimensions alone,
+// zeroed like NewPackedConv2D.
+func NewPackedLinear(name string, in, out int) *PackedLinear {
+	return &PackedLinear{
+		Name: name, In: in, Out: out,
+		Alpha: make([]float32, out),
+		Bias:  make([]float32, out),
+		W:     NewPackedMatrix(out, in),
+	}
+}
+
 // PackLinear converts a trained binary dense layer into packed form.
 func PackLinear(l *Linear) *PackedLinear {
-	p := &PackedLinear{
-		Name: l.name, In: l.In, Out: l.Out,
-		Alpha: FilterAlphas(l.Weight.Value),
-		Bias:  append([]float32(nil), l.Bias.Value.Data...),
-		W:     NewPackedMatrix(l.Out, l.In),
-	}
+	p := NewPackedLinear(l.name, l.In, l.Out)
+	p.Alpha = FilterAlphas(l.Weight.Value)
+	copy(p.Bias, l.Bias.Value.Data)
 	for o := 0; o < l.Out; o++ {
 		p.W.PackRow(o, l.Weight.Value.Row(o))
 	}
 	return p
+}
+
+// OutShape returns the per-sample output shape.
+func (p *PackedLinear) OutShape(in []int) []int {
+	n := 1
+	for _, d := range in {
+		n *= d
+	}
+	if n != p.In {
+		panic(fmt.Sprintf("binary: %s expects %d input features, got shape %v", p.Name, p.In, in))
+	}
+	return []int{p.Out}
 }
 
 // SizeBytes returns the deployed size: packed bits + alpha + bias floats.
@@ -149,4 +178,77 @@ func (p *PackedLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// PackedLayer presents a packed layer — exactly one of Conv and Linear is
+// set — as an inference-only nn.Layer, so a branch that is built packed
+// (models.BuildClient) sits in the same nn.Sequential, and under the same
+// walks, as one built with float shadow weights. It has no parameters: what
+// a packed layer holds is not trainable.
+type PackedLayer struct {
+	Conv   *PackedConv2D
+	Linear *PackedLinear
+}
+
+var _ nn.Layer = PackedLayer{}
+
+// Weights returns the layer's per-filter scales and biases and its sign-bit
+// matrix — the three things a bundle's packed section carries.
+func (l PackedLayer) Weights() (alpha, bias []float32, w *PackedMatrix) {
+	if l.Conv != nil {
+		return l.Conv.Alpha, l.Conv.Bias, l.Conv.W
+	}
+	return l.Linear.Alpha, l.Linear.Bias, l.Linear.W
+}
+
+// Name implements nn.Layer.
+func (l PackedLayer) Name() string {
+	if l.Conv != nil {
+		return l.Conv.Name
+	}
+	return l.Linear.Name
+}
+
+// Forward implements nn.Layer for eval forwards only.
+func (l PackedLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		panic(fmt.Sprintf("binary: %s is packed: it cannot run a training forward", l.Name()))
+	}
+	if l.Conv != nil {
+		return l.Conv.Forward(x)
+	}
+	return l.Linear.Forward(x)
+}
+
+// Backward implements nn.Layer by panicking: packed layers do not train.
+func (l PackedLayer) Backward(*tensor.Tensor) *tensor.Tensor {
+	panic(fmt.Sprintf("binary: %s is packed: it has no Backward", l.Name()))
+}
+
+// Params implements nn.Layer.
+func (l PackedLayer) Params() []*nn.Param { return nil }
+
+// OutShape implements nn.Layer.
+func (l PackedLayer) OutShape(in []int) []int {
+	if l.Conv != nil {
+		return l.Conv.OutShape(in)
+	}
+	return l.Linear.OutShape(in)
+}
+
+// FLOPs implements nn.Layer with the accounting of the float-shadow layers.
+func (l PackedLayer) FLOPs(in []int) int64 {
+	if l.Conv != nil {
+		g := l.Conv.Geom(in)
+		return xnorFLOPs(l.Conv.OutC*g.OutH()*g.OutW(), l.Conv.W.N)
+	}
+	return xnorFLOPs(l.Linear.Out, l.Linear.In)
+}
+
+// SizeBytes returns the deployed size of the layer.
+func (l PackedLayer) SizeBytes() int64 {
+	if l.Conv != nil {
+		return l.Conv.SizeBytes()
+	}
+	return l.Linear.SizeBytes()
 }

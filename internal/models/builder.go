@@ -3,7 +3,9 @@ package models
 import (
 	"fmt"
 
+	"lcrs/internal/binary"
 	"lcrs/internal/nn"
+	"lcrs/internal/tensor"
 )
 
 // stack builds a Sequential while tracking the current per-sample shape, so
@@ -41,22 +43,58 @@ func (s *stack) chw() (c, h, w int) {
 	return s.cur[0], s.cur[1], s.cur[2]
 }
 
+// archs holds the one definition of each architecture: a function of the
+// configuration and the weight-init stream g. A nil g asks for a client
+// build (see BuildClient); the definitions hand g to bconv, blinear and the
+// nn constructors and leave the main branch out when it is nil.
+var archs = map[string]func(cfg Config, g *tensor.RNG) *Composite{
+	"lenet":    leNet,
+	"alexnet":  alexNet,
+	"resnet18": resNet18,
+	"vgg16":    vgg16,
+}
+
+// bconv returns a build's binary convolution: the training-time layer with
+// float shadow weights drawn from g, or on a client build (nil g) the
+// packed layer itself, zeroed.
+func bconv(name string, g *tensor.RNG, inC, outC, kh, kw, stride, pad int) nn.Layer {
+	if g == nil {
+		return binary.PackedLayer{Conv: binary.NewPackedConv2D(name, inC, outC, kh, kw, stride, pad)}
+	}
+	return binary.NewConv2D(name, g, inC, outC, kh, kw, stride, pad)
+}
+
+// blinear is bconv for a binary dense layer.
+func blinear(name string, g *tensor.RNG, in, out int) nn.Layer {
+	if g == nil {
+		return binary.PackedLayer{Linear: binary.NewPackedLinear(name, in, out)}
+	}
+	return binary.NewLinear(name, g, in, out)
+}
+
 // Build returns a named composite by architecture name: "lenet", "alexnet",
-// "resnet18" or "vgg16".
+// "resnet18" or "vgg16", with weights initialized from cfg.Seed.
 func Build(name string, cfg Config) (*Composite, error) {
-	var m *Composite
-	switch name {
-	case "lenet":
-		m = LeNet(cfg)
-	case "alexnet":
-		m = AlexNet(cfg)
-	case "resnet18":
-		m = ResNet18(cfg)
-	case "vgg16":
-		m = VGG16(cfg)
-	default:
+	return build(name, cfg, tensor.NewRNG(cfg.Seed))
+}
+
+// BuildClient returns the inference-only skeleton of a named architecture:
+// the shared prefix and the binary branch, whose binary layers are packed
+// (binary.PackedLayer) from the start — one bit per weight, never a float
+// shadow weight. MainRest is nil, every weight is zero and nothing is drawn
+// from an RNG; modelio.DecodeBrowserBundle fills it from a browser bundle.
+// Layer names, order and shapes are those of Build: both come from the same
+// definition.
+func BuildClient(name string, cfg Config) (*Composite, error) {
+	return build(name, cfg, nil)
+}
+
+func build(name string, cfg Config, g *tensor.RNG) (*Composite, error) {
+	def, ok := archs[name]
+	if !ok {
 		return nil, fmt.Errorf("models: unknown architecture %q", name)
 	}
+	m := def(cfg, g)
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

@@ -55,10 +55,13 @@ type Composite struct {
 	// Shared is the prefix executed on every path (conv1 in the paper).
 	Shared *nn.Sequential
 	// MainRest is the remainder of the main branch, deployed at the edge.
+	// It is nil on a client build (BuildClient), where only the shared
+	// prefix and the binary branch may be run.
 	MainRest *nn.Sequential
 	// Binary is the side branch, deployed in the mobile web browser. It
-	// mixes binary.Conv2D/binary.Linear layers with float pooling and a
-	// float final classifier, per the paper's structure guidance (IV-D3).
+	// mixes binary.Conv2D/binary.Linear layers (binary.PackedLayer on a
+	// client build) with float pooling and a float final classifier, per
+	// the paper's structure guidance (IV-D3).
 	Binary *nn.Sequential
 	// Cfg is the configuration the network was built with.
 	Cfg Config
@@ -121,10 +124,12 @@ func (m *Composite) ScratchFootprintBytes() int64 {
 // error when branch shapes do not line up.
 func (m *Composite) Validate() error {
 	shared := m.Shared.OutShape(m.Cfg.InShape())
-	mainOut := m.MainRest.OutShape(shared)
 	binOut := m.Binary.OutShape(shared)
-	if len(mainOut) != 1 || mainOut[0] != m.Cfg.Classes {
-		return fmt.Errorf("models: %s main branch outputs %v, want [%d]", m.Name, mainOut, m.Cfg.Classes)
+	if m.MainRest != nil {
+		mainOut := m.MainRest.OutShape(shared)
+		if len(mainOut) != 1 || mainOut[0] != m.Cfg.Classes {
+			return fmt.Errorf("models: %s main branch outputs %v, want [%d]", m.Name, mainOut, m.Cfg.Classes)
+		}
 	}
 	if len(binOut) != 1 || binOut[0] != m.Cfg.Classes {
 		return fmt.Errorf("models: %s binary branch outputs %v, want [%d]", m.Name, binOut, m.Cfg.Classes)

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"lcrs/internal/binary"
 	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
@@ -10,8 +9,11 @@ import (
 // (about 1.5-2 MB full precision at WidthScale=1). The shared prefix is
 // conv1 + ReLU + pool; the binary branch mirrors the main branch's
 // conv/fc structure with binarized interior layers and a float classifier.
-func LeNet(cfg Config) *Composite {
-	g := tensor.NewRNG(cfg.Seed)
+func LeNet(cfg Config) *Composite { return leNet(cfg, tensor.NewRNG(cfg.Seed)) }
+
+// leNet is the one definition of the architecture; see Build and BuildClient
+// for the two ways it is instantiated.
+func leNet(cfg Config, g *tensor.RNG) *Composite {
 	c1 := cfg.scaled(20)
 	c2 := cfg.scaled(50)
 	fc1 := cfg.scaled(256)
@@ -22,30 +24,35 @@ func LeNet(cfg Config) *Composite {
 		add(nn.NewReLU("relu1")).
 		add(nn.NewMaxPool2D("pool1", 2, 2, 0))
 
-	main := newStack("lenet.main", shared.cur)
-	main.add(nn.NewConv2D("conv2", g, c1, c2, 5, 5, 1, 0)).
-		add(nn.NewBatchNorm("bn2", c2)).
-		add(nn.NewReLU("relu2")).
-		add(nn.NewMaxPool2D("pool2", 2, 2, 0)).
-		add(nn.NewFlatten("flat"))
-	main.add(nn.NewLinear("fc1", g, main.features(), fc1)).
-		add(nn.NewBatchNorm("bnfc1", fc1)).
-		add(nn.NewReLU("relu3")).
-		add(nn.NewLinear("fc2", g, fc1, fc2)).
-		add(nn.NewBatchNorm("bnfc2", fc2)).
-		add(nn.NewReLU("relu4")).
-		add(nn.NewLinear("fc3", g, fc2, cfg.Classes))
+	m := &Composite{Name: "lenet", Shared: shared.seq, Cfg: cfg}
+	if g != nil { // a client build has no main branch
+		main := newStack("lenet.main", shared.cur)
+		main.add(nn.NewConv2D("conv2", g, c1, c2, 5, 5, 1, 0)).
+			add(nn.NewBatchNorm("bn2", c2)).
+			add(nn.NewReLU("relu2")).
+			add(nn.NewMaxPool2D("pool2", 2, 2, 0)).
+			add(nn.NewFlatten("flat"))
+		main.add(nn.NewLinear("fc1", g, main.features(), fc1)).
+			add(nn.NewBatchNorm("bnfc1", fc1)).
+			add(nn.NewReLU("relu3")).
+			add(nn.NewLinear("fc2", g, fc1, fc2)).
+			add(nn.NewBatchNorm("bnfc2", fc2)).
+			add(nn.NewReLU("relu4")).
+			add(nn.NewLinear("fc3", g, fc2, cfg.Classes))
+		m.MainRest = main.seq
+	}
 
 	bin := newStack("lenet.binary", shared.cur)
-	bin.add(binary.NewConv2D("bconv1", g, c1, c2, 5, 5, 1, 2)).
+	bin.add(bconv("bconv1", g, c1, c2, 5, 5, 1, 2)).
 		add(nn.NewMaxPool2D("bpool1", 2, 2, 0)).
 		add(nn.NewBatchNorm("bbn1", c2)).
 		add(nn.NewFlatten("bflat"))
-	bin.add(binary.NewLinear("bfc1", g, bin.features(), fc1)).
+	bin.add(blinear("bfc1", g, bin.features(), fc1)).
 		add(nn.NewBatchNorm("bbn2", fc1)).
-		add(binary.NewLinear("bfc2", g, fc1, fc2)).
+		add(blinear("bfc2", g, fc1, fc2)).
 		add(nn.NewBatchNorm("bbn3", fc2)).
 		add(nn.NewLinear("bout", g, fc2, cfg.Classes))
 
-	return &Composite{Name: "lenet", Shared: shared.seq, MainRest: main.seq, Binary: bin.seq, Cfg: cfg}
+	m.Binary = bin.seq
+	return m
 }

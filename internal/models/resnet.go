@@ -3,7 +3,6 @@ package models
 import (
 	"fmt"
 
-	"lcrs/internal/binary"
 	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
@@ -31,8 +30,11 @@ func basicBlock(name string, g *tensor.RNG, inC, outC, stride int) *nn.Residual 
 
 // ResNet18 builds the CIFAR-style ResNet18 composite (about 44 MB full
 // precision at WidthScale=1, matching Table I's 43.7 MB).
-func ResNet18(cfg Config) *Composite {
-	g := tensor.NewRNG(cfg.Seed)
+func ResNet18(cfg Config) *Composite { return resNet18(cfg, tensor.NewRNG(cfg.Seed)) }
+
+// resNet18 is the one definition of the architecture; see Build and BuildClient
+// for the two ways it is instantiated.
+func resNet18(cfg Config, g *tensor.RNG) *Composite {
 	w := []int{cfg.scaled(64), cfg.scaled(128), cfg.scaled(256), cfg.scaled(512)}
 
 	shared := newStack("resnet18.shared", cfg.InShape())
@@ -40,36 +42,41 @@ func ResNet18(cfg Config) *Composite {
 		add(nn.NewBatchNorm("bn1", w[0])).
 		add(nn.NewReLU("relu1"))
 
-	main := newStack("resnet18.main", shared.cur)
-	inC := w[0]
-	for stage, ch := range w {
-		stride := 2
-		if stage == 0 {
-			stride = 1
+	m := &Composite{Name: "resnet18", Shared: shared.seq, Cfg: cfg}
+	if g != nil { // a client build has no main branch
+		main := newStack("resnet18.main", shared.cur)
+		inC := w[0]
+		for stage, ch := range w {
+			stride := 2
+			if stage == 0 {
+				stride = 1
+			}
+			main.add(basicBlock(fmt.Sprintf("s%d.b0", stage+1), g, inC, ch, stride))
+			main.add(basicBlock(fmt.Sprintf("s%d.b1", stage+1), g, ch, ch, 1))
+			inC = ch
 		}
-		main.add(basicBlock(fmt.Sprintf("s%d.b0", stage+1), g, inC, ch, stride))
-		main.add(basicBlock(fmt.Sprintf("s%d.b1", stage+1), g, ch, ch, 1))
-		inC = ch
+		_, h, _ := main.chw()
+		main.add(nn.NewAvgPool2D("gap", h, h)).
+			add(nn.NewFlatten("flat"))
+		main.add(nn.NewLinear("fc", g, main.features(), cfg.Classes))
+		m.MainRest = main.seq
 	}
-	_, h, _ := main.chw()
-	main.add(nn.NewAvgPool2D("gap", h, h)).
-		add(nn.NewFlatten("flat"))
-	main.add(nn.NewLinear("fc", g, main.features(), cfg.Classes))
 
 	// Binary branch: a stride-2 pyramid of binary convolutions plus one
 	// large binary FC, sized to about 1/28 of the main branch.
 	bin := newStack("resnet18.binary", shared.cur)
-	bin.add(binary.NewConv2D("bconv1", g, w[0], w[1], 3, 3, 2, 1)).
+	bin.add(bconv("bconv1", g, w[0], w[1], 3, 3, 2, 1)).
 		add(nn.NewBatchNorm("bbn1", w[1])).
-		add(binary.NewConv2D("bconv2", g, w[1], w[2], 3, 3, 2, 1)).
+		add(bconv("bconv2", g, w[1], w[2], 3, 3, 2, 1)).
 		add(nn.NewBatchNorm("bbn2", w[2])).
-		add(binary.NewConv2D("bconv3", g, w[2], w[3], 3, 3, 2, 1)).
+		add(bconv("bconv3", g, w[2], w[3], 3, 3, 2, 1)).
 		add(nn.NewBatchNorm("bbn3", w[3])).
 		add(nn.NewFlatten("bflat"))
 	bfcH := cfg.scaled(1280)
-	bin.add(binary.NewLinear("bfc1", g, bin.features(), bfcH)).
+	bin.add(blinear("bfc1", g, bin.features(), bfcH)).
 		add(nn.NewBatchNorm("bbn4", bfcH)).
 		add(nn.NewLinear("bout", g, bfcH, cfg.Classes))
 
-	return &Composite{Name: "resnet18", Shared: shared.seq, MainRest: main.seq, Binary: bin.seq, Cfg: cfg}
+	m.Binary = bin.seq
+	return m
 }

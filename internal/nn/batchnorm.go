@@ -214,8 +214,8 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	for c := 0; c < bn.C; c++ {
-		bn.Beta.Grad.Data[c] += sumDy[c]
-		bn.Gamma.Grad.Data[c] += sumDyXhat[c]
+		bn.Beta.EnsureGrad().Data[c] += sumDy[c]
+		bn.Gamma.EnsureGrad().Data[c] += sumDyXhat[c]
 	}
 	for b := 0; b < n; b++ {
 		base := b * bn.C * perChan

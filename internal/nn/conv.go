@@ -74,13 +74,21 @@ func (c *Conv2D) colsBuffer(n int, train bool) []float32 {
 	return c.scratch[:n]
 }
 
-// NewConv2D constructs a convolution layer with Kaiming-initialized weights.
+// NewConv2D constructs a convolution layer with Kaiming-initialized
+// weights. A nil g draws nothing and leaves the weights zero: the skeleton
+// of a layer whose weights are about to be loaded.
 func NewConv2D(name string, g *tensor.RNG, inC, outC, kh, kw, stride, pad int) *Conv2D {
 	c := &Conv2D{
 		name: name, InC: inC, OutC: outC, KH: kh, KW: kw,
 		Stride: stride, Pad: pad, UseBias: true,
 	}
-	c.Weight = NewParam(name+".weight", g.KaimingConv(outC, inC, kh, kw))
+	var w *tensor.Tensor
+	if g != nil {
+		w = g.KaimingConv(outC, inC, kh, kw)
+	} else {
+		w = tensor.New(outC, inC, kh, kw)
+	}
+	c.Weight = NewParam(name+".weight", w)
 	c.Bias = NewParam(name+".bias", tensor.New(outC))
 	c.Bias.NoDecay = true
 	return c
@@ -233,7 +241,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	dx := tensor.New(x.Shape...)
 	w2d := c.Weight.Value.Reshape(c.OutC, k)
-	dw2d := c.Weight.Grad.Reshape(c.OutC, k)
+	dw2d := c.Weight.EnsureGrad().Reshape(c.OutC, k)
 
 	for i := 0; i < n; i++ {
 		doutI := tensor.FromSlice(dout.Batch(i).Data, c.OutC, p)
@@ -254,7 +262,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				for _, v := range row {
 					s += v
 				}
-				c.Bias.Grad.Data[ch] += s
+				c.Bias.EnsureGrad().Data[ch] += s
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func checkGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 
 	// Analytic pass.
 	for _, p := range l.Params() {
-		p.Grad.Zero()
+		p.EnsureGrad().Zero()
 	}
 	out := l.Forward(x, true)
 	if !out.SameShape(proj) {
@@ -186,8 +186,8 @@ func TestBatchNormGradients(t *testing.T) {
 		return s
 	}
 
-	bn.Gamma.Grad.Zero()
-	bn.Beta.Grad.Zero()
+	bn.Gamma.EnsureGrad().Zero()
+	bn.Beta.EnsureGrad().Zero()
 	out := bn.Forward(x, true)
 	_ = out
 	dx := bn.Backward(proj.Clone())

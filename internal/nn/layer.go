@@ -20,15 +20,27 @@ type Param struct {
 	// Value is the current parameter tensor.
 	Value *tensor.Tensor
 	// Grad accumulates the gradient of the loss with respect to Value. It
-	// has the same shape as Value and is zeroed by Optimizer.ZeroGrad.
+	// is nil until training first touches it (Backward, Optimizer.ZeroGrad
+	// and Step go through EnsureGrad), so a model that only ever runs eval
+	// forwards carries no gradient memory; once allocated it has the shape
+	// of Value and is zeroed by Optimizer.ZeroGrad.
 	Grad *tensor.Tensor
 	// NoDecay marks parameters excluded from weight decay (biases, norms).
 	NoDecay bool
 }
 
-// NewParam allocates a parameter with a zeroed gradient of matching shape.
+// NewParam wraps value as a parameter. The gradient is allocated on first
+// use, not here.
 func NewParam(name string, value *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Shape...)}
+	return &Param{Name: name, Value: value}
+}
+
+// EnsureGrad returns p.Grad, allocating it zeroed on first use.
+func (p *Param) EnsureGrad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Shape...)
+	}
+	return p.Grad
 }
 
 // Layer is one differentiable stage of a network.

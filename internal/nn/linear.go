@@ -36,10 +36,17 @@ func (l *Linear) CloneForInference() Layer {
 	return &Linear{name: l.name, In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
 }
 
-// NewLinear constructs a dense layer with Kaiming-initialized weights.
+// NewLinear constructs a dense layer with Kaiming-initialized weights, or
+// zero weights when g is nil (see NewConv2D).
 func NewLinear(name string, g *tensor.RNG, in, out int) *Linear {
 	l := &Linear{name: name, In: in, Out: out}
-	l.Weight = NewParam(name+".weight", g.KaimingLinear(out, in))
+	var w *tensor.Tensor
+	if g != nil {
+		w = g.KaimingLinear(out, in)
+	} else {
+		w = tensor.New(out, in)
+	}
+	l.Weight = NewParam(name+".weight", w)
 	l.Bias = NewParam(name+".bias", tensor.New(out))
 	l.Bias.NoDecay = true
 	return l
@@ -117,12 +124,12 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	x := l.lastInput
 	// dW (Out x In) += dOut^T (Out x N) x X (N x In)
 	dw := tensor.MatMulTransA(dout, x)
-	l.Weight.Grad.AddScaled(1, dw)
+	l.Weight.EnsureGrad().AddScaled(1, dw)
 	// db += column sums of dOut
 	for i := 0; i < dout.Dim(0); i++ {
 		row := dout.Row(i)
 		for j, v := range row {
-			l.Bias.Grad.Data[j] += v
+			l.Bias.EnsureGrad().Data[j] += v
 		}
 	}
 	// dX (N x In) = dOut (N x Out) x W (Out x In)

@@ -75,7 +75,7 @@ func TestStepDecaySchedule(t *testing.T) {
 
 func TestClipGradients(t *testing.T) {
 	p := NewParam("p", tensor.New(2))
-	p.Grad.Data[0] = 3
+	p.EnsureGrad().Data[0] = 3
 	p.Grad.Data[1] = 4 // norm 5
 	norm := ClipGradients([]*Param{p}, 1)
 	if math.Abs(norm-5) > 1e-6 {

@@ -46,7 +46,7 @@ func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
 func (s *SGD) Step() {
 	lr := float32(s.lr)
 	for i, p := range s.params {
-		g := p.Grad
+		g := p.EnsureGrad()
 		if s.weightDecay != 0 && !p.NoDecay {
 			p.Value.Scale(1 - float32(s.lr*s.weightDecay))
 		}
@@ -107,7 +107,7 @@ func (a *Adam) Step() {
 	b1, b2 := float32(a.beta1), float32(a.beta2)
 	for i, p := range a.params {
 		m, v := a.moment1[i], a.moment2[i]
-		g := p.Grad
+		g := p.EnsureGrad()
 		for j := range g.Data {
 			gj := g.Data[j]
 			m.Data[j] = b1*m.Data[j] + (1-b1)*gj
@@ -129,7 +129,7 @@ func (a *Adam) LR() float64 { return a.lr }
 
 func zeroGrads(params []*Param) {
 	for _, p := range params {
-		p.Grad.Zero()
+		p.EnsureGrad().Zero()
 	}
 }
 
@@ -156,6 +156,9 @@ func (s StepDecay) At(epoch int) float64 {
 func ClipGradients(params []*Param, maxNorm float64) float64 {
 	var ss float64
 	for _, p := range params {
+		if p.Grad == nil {
+			continue // never touched: contributes nothing, nothing to scale
+		}
 		for _, g := range p.Grad.Data {
 			ss += float64(g) * float64(g)
 		}
@@ -164,7 +167,9 @@ func ClipGradients(params []*Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := float32(maxNorm / norm)
 		for _, p := range params {
-			p.Grad.Scale(scale)
+			if p.Grad != nil {
+				p.Grad.Scale(scale)
+			}
 		}
 	}
 	return norm

@@ -220,7 +220,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	w2d := c.Weight.Value.Reshape(c.OutC, k)
 	wEst := tensor.New(c.OutC, k)
 	EstimateWeights(wEst, w2d, c.Bits)
-	dw := c.Weight.Grad.Reshape(c.OutC, k)
+	dw := c.Weight.EnsureGrad().Reshape(c.OutC, k)
 	dx := tensor.New(x.Shape...)
 
 	for i := 0; i < n; i++ {
@@ -235,7 +235,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			for _, v := range doutI.Row(ch) {
 				s += v
 			}
-			c.Bias.Grad.Data[ch] += s
+			c.Bias.EnsureGrad().Data[ch] += s
 		}
 	}
 	return dx
@@ -318,10 +318,10 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("quantize: %s Backward before training Forward", l.name))
 	}
 	dw := tensor.MatMulTransA(dout, l.lastInput)
-	l.Weight.Grad.AddScaled(1, dw)
+	l.Weight.EnsureGrad().AddScaled(1, dw)
 	for i := 0; i < dout.Dim(0); i++ {
 		for j, v := range dout.Row(i) {
-			l.Bias.Grad.Data[j] += v
+			l.Bias.EnsureGrad().Data[j] += v
 		}
 	}
 	wEst := tensor.New(l.Out, l.In)

@@ -44,10 +44,6 @@ type Client struct {
 	modelName string
 	model     *models.Composite
 	branch    *binary.PackedBranch // bit-packed executor for the binary branch
-	// modelArch/modelCfg remember how the loaded model was built so
-	// RevalidateBundle can rebuild it when the edge serves a new version.
-	modelArch string
-	modelCfg  models.Config
 	// bundleVersion/bundleETag identify the downloaded bundle: the edge's
 	// content-addressed model version and the ETag to revalidate with
 	// (If-None-Match → 304, zero body bytes, when unchanged).
@@ -125,48 +121,91 @@ func (c *Client) Models(ctx context.Context) ([]edge.ModelInfo, error) {
 	return out, nil
 }
 
-// LoadModel downloads the bundle for name, builds the architecture locally
-// (arch + cfg must match what the server registered) and installs the
-// weights. tau is the exit threshold to use for Recognize.
+// LoadModel downloads the bundle for name and installs it in an
+// inference-only skeleton of the architecture (arch + cfg must match what
+// the server registered). tau is the exit threshold to use for Recognize.
 func (c *Client) LoadModel(ctx context.Context, name, arch string, cfg models.Config, tau float64) error {
 	if tau < 0 || tau > 1 {
 		return fmt.Errorf("webclient: tau %v out of [0,1]", tau)
 	}
 	start := time.Now()
+	if _, err := c.fetchBundle(ctx, name, arch, cfg, ""); err != nil {
+		return err
+	}
+	c.tauBits.Store(math.Float64bits(tau))
+	c.loadTime = time.Since(start)
+	return nil
+}
+
+// fetchBundle GETs the bundle for name — conditionally when etag is set —
+// and on a 200 installs it as the client's model. It is the one way weights
+// reach a Client.
+//
+// The skeleton (models.BuildClient) holds only what a browser runs: the
+// shared prefix and a binary branch whose binary layers are packed from the
+// start. It also fixes the exact length of a valid bundle, so a response
+// that declares or delivers any other number of bytes is refused before a
+// byte is parsed; the body is read into one buffer of that size and its
+// packed sections are copied straight into the packed layers. No float
+// shadow weight, main-branch layer or gradient is ever built on the client.
+//
+// A 304, or any failure, leaves the loaded model, its version and ETag and
+// the session cache exactly as they were: the Client is only written once
+// the new model is whole.
+func (c *Client) fetchBundle(ctx context.Context, name, arch string, cfg models.Config, etag string) (installed bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/bundle/"+name, nil)
 	if err != nil {
-		return fmt.Errorf("webclient: %w", err)
+		return false, fmt.Errorf("webclient: %w", err)
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("webclient: fetch bundle: %w", err)
+		return false, fmt.Errorf("webclient: fetch bundle: %w", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified && etag != "" {
+		return false, nil
+	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("webclient: fetch bundle %q: status %s", name, resp.Status)
+		return false, fmt.Errorf("webclient: fetch bundle %q: status %s", name, resp.Status)
 	}
-	data, err := io.ReadAll(resp.Body)
+
+	m, err := models.BuildClient(arch, cfg)
 	if err != nil {
-		return fmt.Errorf("webclient: read bundle: %w", err)
+		return false, fmt.Errorf("webclient: build %s: %w", arch, err)
 	}
-	m, err := models.Build(arch, cfg)
-	if err != nil {
-		return fmt.Errorf("webclient: build %s: %w", arch, err)
+	want := modelio.BrowserBundleLen(m)
+	if resp.ContentLength >= 0 && resp.ContentLength != int64(want) {
+		return false, fmt.Errorf("webclient: bundle %q is %d bytes, a %s bundle for this configuration is %d",
+			name, resp.ContentLength, arch, want)
 	}
-	if err := modelio.DecodeBrowserBundle(data, m); err != nil {
-		return fmt.Errorf("webclient: install bundle: %w", err)
+	// One byte of room past the bundle tells a body that ends where it
+	// should from one that keeps going, without reading on.
+	data := make([]byte, want+1)
+	n, err := io.ReadFull(resp.Body, data)
+	if err == nil {
+		return false, fmt.Errorf("webclient: bundle %q runs past the %d bytes of a %s bundle for this configuration", name, want, arch)
 	}
+	if err != io.ErrUnexpectedEOF || n != want {
+		return false, fmt.Errorf("webclient: read bundle %q: got %d of %d bytes: %w", name, n, want, err)
+	}
+	if err := modelio.DecodeBrowserBundle(data[:want], m); err != nil {
+		return false, fmt.Errorf("webclient: install bundle: %w", err)
+	}
+
 	c.modelName = name
 	c.model = m
-	c.branch = binary.PackBranch(m.Binary)
-	c.modelArch = arch
-	c.modelCfg = cfg
+	c.branch = binary.PackBranch(m.Binary) // packed already: the layers are taken, not re-packed
 	c.bundleVersion = resp.Header.Get(collab.ModelVersionHeader)
 	c.bundleETag = resp.Header.Get("ETag")
-	c.tauBits.Store(math.Float64bits(tau))
-	c.loadTime = time.Since(start)
-	c.loadBytes = len(data)
-	return nil
+	c.loadBytes = want
+	if c.cache != nil {
+		// Session-cache answers were computed by the replaced version.
+		c.cache.clear()
+	}
+	return true, nil
 }
 
 // ModelVersion reports the content-addressed version of the loaded bundle
@@ -189,47 +228,9 @@ func (c *Client) RevalidateBundle(ctx context.Context) (changed bool, err error)
 	if c.model == nil {
 		return false, fmt.Errorf("webclient: no model loaded")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/bundle/"+c.modelName, nil)
-	if err != nil {
-		return false, fmt.Errorf("webclient: %w", err)
-	}
-	if c.bundleETag != "" {
-		req.Header.Set("If-None-Match", c.bundleETag)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("webclient: revalidate bundle: %w", err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		return false, nil
-	case http.StatusOK:
-		// A new version is serving: install it.
-	default:
-		return false, fmt.Errorf("webclient: revalidate bundle %q: status %s", c.modelName, resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return false, fmt.Errorf("webclient: read bundle: %w", err)
-	}
-	m, err := models.Build(c.modelArch, c.modelCfg)
-	if err != nil {
-		return false, fmt.Errorf("webclient: build %s: %w", c.modelArch, err)
-	}
-	if err := modelio.DecodeBrowserBundle(data, m); err != nil {
-		return false, fmt.Errorf("webclient: install bundle: %w", err)
-	}
-	c.model = m
-	c.branch = binary.PackBranch(m.Binary)
-	c.bundleVersion = resp.Header.Get(collab.ModelVersionHeader)
-	c.bundleETag = resp.Header.Get("ETag")
-	c.loadBytes = len(data)
-	if c.cache != nil {
-		// Session-cache answers were computed by the replaced version.
-		c.cache.clear()
-	}
-	return true, nil
+	// The loaded model remembers the architecture and configuration it was
+	// built with: the next version is built the same way.
+	return c.fetchBundle(ctx, c.modelName, c.model.Name, c.model.Cfg, c.bundleETag)
 }
 
 // Tau reports the exit threshold the next recognition will use. It starts
