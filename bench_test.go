@@ -92,6 +92,7 @@ func BenchmarkConvBinaryFloatSim(b *testing.B) {
 
 func BenchmarkConvBinaryPackedXNOR(b *testing.B) {
 	_, pc, _, x := convBenchSetup()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc.Forward(x)
@@ -112,6 +113,7 @@ func BenchmarkLinearBinaryPackedXNOR(b *testing.B) {
 	g := tensor.NewRNG(2)
 	l := binary.PackLinear(binary.NewLinear("bl", g, 4096, 1024))
 	x := g.Uniform(-1, 1, 1, 4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Forward(x)
@@ -217,6 +219,39 @@ func BenchmarkClientLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := NewWebClient(srv.URL).LoadModel(ctx, "demo", "lenet", cfg, 0.5); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClientExit is one exit recognition as a browser session pays it:
+// a full-width AlexNet client loaded over loopback at tau = 1, so every
+// frame is answered by conv1, the packed binary branch and the entropy test
+// on the device. A/B the exit path with
+// `go test -run=^$ -bench=ClientExit -count=10 .`.
+func BenchmarkClientExit(b *testing.B) {
+	cfg := ModelConfig{Classes: 10, InC: 3, InH: 32, InW: 32, WidthScale: 1, Seed: 1}
+	m, err := Build("alexnet", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewEdgeServer()
+	defer s.Close()
+	if _, err := s.Register("alexnet", m); err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	c := NewWebClient(srv.URL)
+	if err := c.LoadModel(ctx, "alexnet", "alexnet", cfg, 1); err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.NewRNG(2).Uniform(-1, 1, cfg.InC, cfg.InH, cfg.InW)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err := c.Recognize(ctx, x); err != nil || !res.Exited {
+			b.Fatalf("exit recognition: %+v, %v", res, err)
 		}
 	}
 }

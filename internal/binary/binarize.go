@@ -7,6 +7,8 @@
 package binary
 
 import (
+	"math"
+
 	"lcrs/internal/tensor"
 )
 
@@ -109,13 +111,9 @@ func InputScalesInto(dst, aplane []float32, g tensor.ConvGeom, img []float32) {
 	}
 	invC := 1 / float32(g.InC)
 	for c := 0; c < g.InC; c++ {
-		plane := img[c*inHW : (c+1)*inHW]
+		plane := img[c*inHW : (c+1)*inHW][:len(a)]
 		for i, v := range plane {
-			if v < 0 {
-				a[i] -= v * invC
-			} else {
-				a[i] += v * invC
-			}
+			a[i] += magnitude(v) * invC
 		}
 	}
 	outH, outW := g.OutH(), g.OutW()
@@ -151,11 +149,20 @@ func InputScalesInto(dst, aplane []float32, g tensor.ConvGeom, img []float32) {
 func RowScale(row []float32) float32 {
 	var s float64
 	for _, v := range row {
-		if v < 0 {
-			s -= float64(v)
-		} else {
-			s += float64(v)
-		}
+		s += float64(magnitude(v))
 	}
 	return float32(s / float64(len(row)))
+}
+
+// magnitude returns |v| without a branch on v's sign, which is random in
+// an activation. Adding it is bitwise the sum XNOR-Net defines — subtract v
+// when v < 0, add it otherwise: s - v equals s + |v| for v < 0, and s + 0
+// equals s + -0 for the non-negative sums here. A NaN is returned with its
+// sign, as the definition adds it.
+func magnitude(v float32) float32 {
+	u := math.Float32bits(v)
+	if a := u &^ (1 << 31); a <= 0x7f800000 {
+		u = a
+	}
+	return math.Float32frombits(u)
 }

@@ -11,7 +11,8 @@ import (
 // binary layer is bit-packed (XNOR+popcount kernels) and interleaved float
 // layers (pooling, batch norm, the final classifier) run as-is in inference
 // mode. This is the role the paper's C++-to-WASM library plays inside the
-// mobile web browser.
+// mobile web browser. The packed layers keep eval scratch, so a branch runs
+// one Forward at a time.
 type PackedBranch struct {
 	stages []packedStage
 }

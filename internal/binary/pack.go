@@ -2,11 +2,32 @@ package binary
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
 // wordsFor returns the number of 64-bit words needed to hold n sign bits.
 func wordsFor(n int) int { return (n + 63) / 64 }
+
+// signBit is 1 when v >= 0 and 0 otherwise — sign(0) = +1, matching
+// tensor.Sign, and a NaN, which compares false, packs as -1 — computed from
+// v's bits without a branch: v >= 0 holds exactly for the patterns from +0
+// up to +Inf and for -0.
+func signBit(v float32) uint64 {
+	u := uint64(math.Float32bits(v))
+	nonNeg := (u - 0x7f800001) >> 63        // +0 <= v <= +Inf
+	negZero := ((u ^ 0x80000000) - 1) >> 63 // v is -0
+	return nonNeg | negZero
+}
+
+// packWord returns the sign bits of up to 64 values, value i at bit i.
+func packWord(src []float32) uint64 {
+	var w uint64
+	for i, v := range src {
+		w |= signBit(v) << (uint(i) & 63)
+	}
+	return w
+}
 
 // PackSigns packs the sign bits of src into dst, one bit per element with
 // bit=1 meaning the value is non-negative (sign(0)=+1, matching
@@ -18,12 +39,7 @@ func PackSigns(dst []uint64, src []float32) {
 		panic(fmt.Sprintf("binary: PackSigns dst has %d words, want %d", len(dst), wordsFor(len(src))))
 	}
 	for i := range dst {
-		dst[i] = 0
-	}
-	for i, v := range src {
-		if v >= 0 {
-			dst[i/64] |= 1 << uint(i%64)
-		}
+		dst[i] = packWord(src[i*64 : min(len(src), i*64+64)])
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // PackedConv2D is the deployment form of a trained binary convolution: one
 // bit per weight plus a float scale per filter. Its forward pass is the
 // XNOR+popcount kernel the paper's WASM library runs on the mobile web
-// browser. It is inference-only.
+// browser. It is inference-only, and like nn.Conv2D it keeps eval scratch
+// between forwards, so one layer must not run concurrent Forward calls
+// (CloneForInference gives each goroutine its own).
 type PackedConv2D struct {
 	Name   string
 	InC    int
@@ -21,6 +23,21 @@ type PackedConv2D struct {
 	Alpha  []float32     // per-filter scale
 	Bias   []float32     // per-filter bias
 	W      *PackedMatrix // OutC rows of InC*KH*KW bits
+
+	// Eval state: g is the geometry and img the sample in flight; signRows
+	// holds the image's padded row sign bitmaps (InC x padH rows of
+	// rowWords words), gemm.X its packed receptive fields, gemm.Scale its
+	// K plane and aplane the channel-mean |x| plane behind it. The buffers
+	// grow to the largest image seen and are reused; arena, when set,
+	// serves the output tensor.
+	g                    tensor.ConvGeom
+	padH, rowWords       int
+	img                  []float32
+	signRows             []uint64
+	aplane               []float32
+	gemm                 xnorGEMM
+	rowsKern, fieldsKern func(lo, hi int)
+	arena                *tensor.Arena
 }
 
 // NewPackedConv2D builds a packed convolution from its geometry alone, with
@@ -49,6 +66,15 @@ func PackConv2D(c *Conv2D) *PackedConv2D {
 	return p
 }
 
+// cloneForInference returns a layer sharing p's weights with fresh eval
+// state and no arena.
+func (p *PackedConv2D) cloneForInference() *PackedConv2D {
+	return &PackedConv2D{
+		Name: p.Name, InC: p.InC, OutC: p.OutC, KH: p.KH, KW: p.KW,
+		Stride: p.Stride, Pad: p.Pad, Alpha: p.Alpha, Bias: p.Bias, W: p.W,
+	}
+}
+
 // Geom returns the convolution geometry for a CHW input shape.
 func (p *PackedConv2D) Geom(in []int) tensor.ConvGeom {
 	if len(in) != 3 || in[0] != p.InC {
@@ -70,54 +96,162 @@ func (p *PackedConv2D) SizeBytes() int64 {
 
 // Forward runs the packed XNOR convolution on a float NCHW input,
 // binarizing the input on the fly with the K scaling matrix (Eq. 4).
+//
+// Per image, three passes, each split across tensor.ParallelFor:
+//  1. every input row is packed once into a sign bitmap of its padded
+//     width, the padding packed as the +1 that sign(0) gives the zeros
+//     Im2Col would read;
+//  2. each output position's receptive field is assembled from KW-bit
+//     chunks of those bitmaps, in Im2Col's (c, ky, kx) bit order, into one
+//     row of sign words — the float im2col matrix never exists;
+//  3. xnorGEMM popcounts every filter against every field.
+//
+// Each field row holds exactly the bits PackSigns would give its Im2Col
+// row, so every output is bitwise the Im2Col → PackSigns → XnorDot result.
 func (p *PackedConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	g := p.Geom(x.Shape[1:])
 	outH, outW := g.OutH(), g.OutW()
-	pp := outH * outW
-	k := p.InC * p.KH * p.KW
-
-	out := tensor.New(n, p.OutC, outH, outW)
-	raw := make([]float32, pp*k)
-	cols := NewPackedMatrix(pp, k)
+	out := nn.EvalTensor(p.arena, n, p.OutC, outH, outW)
+	p.prepare(g)
+	sample, plane := g.InC*g.InH*g.InW, p.OutC*outH*outW
 	for i := 0; i < n; i++ {
-		img := x.Batch(i).Data
-		g.Im2Col(raw, img)
-		ks := InputScales(g, img)
-		// Each receptive field packs into its own row of cols.
-		tensor.ParallelFor(pp, func(lo, hi int) {
-			for pos := lo; pos < hi; pos++ {
-				cols.PackRow(pos, raw[pos*k:(pos+1)*k])
-			}
-		})
-		// The XNOR+popcount sweep is embarrassingly parallel across output
-		// channels: every channel writes only its own plane, and each
-		// element is one integer popcount dot plus a float scale, so the
-		// result is chunking-independent.
-		ob := out.Batch(i)
-		tensor.ParallelFor(p.OutC, func(lo, hi int) {
-			for o := lo; o < hi; o++ {
-				wrow := p.W.Row(o)
-				alpha := p.Alpha[o]
-				bias := p.Bias[o]
-				plane := ob.Data[o*pp : (o+1)*pp]
-				for pos := 0; pos < pp; pos++ {
-					dot := XnorDot(wrow, cols.Row(pos), k)
-					plane[pos] = alpha*ks[pos]*float32(dot) + bias
-				}
-			}
-		})
+		p.img = x.Data[i*sample : (i+1)*sample]
+		p.gemm.Dst = out.Data[i*plane : (i+1)*plane]
+		tensor.ParallelFor(g.InC, p.rowsKern)
+		InputScalesInto(p.gemm.Scale, p.aplane, g, p.img)
+		tensor.ParallelFor(outH, p.fieldsKern)
+		tensor.ParallelFor(p.gemm.blocks(), p.gemm.body())
 	}
+	p.img, p.gemm.Dst = nil, nil
 	return out
 }
 
+// prepare sizes the eval state for geometry g.
+func (p *PackedConv2D) prepare(g tensor.ConvGeom) {
+	p.g = g
+	p.padH = g.InH + 2*g.Pad
+	// One word past the padded width lets bitsAt read a chunk's second word
+	// unconditionally.
+	p.rowWords = wordsFor(g.InW+2*g.Pad) + 1
+	positions := g.OutH() * g.OutW()
+	p.signRows = grow(p.signRows, g.InC*p.padH*p.rowWords)
+	p.aplane = grow(p.aplane, g.InH*g.InW)
+	m := &p.gemm
+	m.W, m.Alpha, m.Bias = p.W, p.Alpha, p.Bias
+	m.X = grow(m.X, positions*p.W.WordsPerRow)
+	m.Scale = grow(m.Scale, positions)
+	m.OS, m.JS = positions, 1
+	if p.rowsKern == nil {
+		p.rowsKern, p.fieldsKern = p.packRows, p.packFields
+	}
+}
+
+// packRows writes the padded row sign bitmaps of input channels [lo, hi).
+func (p *PackedConv2D) packRows(lo, hi int) {
+	g := p.g
+	for c := lo; c < hi; c++ {
+		plane := p.img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+		rows := p.signRows[c*p.padH*p.rowWords : (c+1)*p.padH*p.rowWords]
+		for y := 0; y < p.padH; y++ {
+			row := rows[y*p.rowWords : (y+1)*p.rowWords]
+			for i := range row {
+				row[i] = ^uint64(0)
+			}
+			if iy := y - g.Pad; iy >= 0 && iy < g.InH {
+				packBitsAt(row, plane[iy*g.InW:(iy+1)*g.InW], g.Pad)
+			}
+		}
+	}
+}
+
+// packFields assembles the receptive fields of output rows [lo, hi), one
+// row of WordsPerRow words per position: field bit j = c*KH*KW + ky*KW + kx
+// holds the sign of padded input pixel (c, oy*Stride+ky, ox*Stride+kx). The
+// loops run chunk-major: for each (c, ky) the KW-bit chunk of every
+// position is ORed in at the same offset j, so the row, the offset and the
+// mask stay fixed while the positions stream past, and one 64-bit window of
+// the row serves every position whose chunk lies inside it.
+func (p *PackedConv2D) packFields(lo, hi int) {
+	g, rw := p.g, p.rowWords
+	outW, wpr, s := g.OutW(), p.W.WordsPerRow, g.Stride
+	fields := p.gemm.X[lo*outW*wpr : hi*outW*wpr]
+	clear(fields)
+	j := 0
+	for c := 0; c < g.InC; c++ {
+		rows := p.signRows[c*p.padH*rw : (c+1)*p.padH*rw]
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx += 64 {
+				width := min(64, g.KW-kx)
+				mask := ^uint64(0) >> uint(64-width)
+				wj, sh := j>>6, uint(j&63)
+				spill := int(sh)+width > 64 // the chunk's high bits go to word wj+1
+				per := (64-width)/s + 1     // chunks one window holds
+				for oy := lo; oy < hi; oy++ {
+					y := oy*s + ky
+					row := rows[y*rw : (y+1)*rw]
+					f := fields[(oy-lo)*outW*wpr+wj : (oy-lo+1)*outW*wpr]
+					for ox0 := 0; ox0 < outW; ox0 += per {
+						v := bitsAt(row, ox0*s+kx)
+						for k := ox0 * wpr; k < min(outW, ox0+per)*wpr; k += wpr {
+							chunk := v & mask
+							v >>= uint(s) & 63 // s < 64 whenever per > 1
+							f[k] |= chunk << sh
+							if spill {
+								f[k+1] |= chunk >> ((64 - sh) & 63)
+							}
+						}
+					}
+				}
+				j += width
+			}
+		}
+	}
+}
+
+// packBitsAt overwrites bits [off, off+len(src)) of dst with the sign bits
+// of src.
+func packBitsAt(dst []uint64, src []float32, off int) {
+	for len(src) > 0 {
+		sh := uint(off & 63)
+		n := min(64-int(sh), len(src))
+		mask := (uint64(1)<<uint(n) - 1) << sh
+		w := &dst[off>>6]
+		*w = *w&^mask | packWord(src[:n])<<sh
+		off += n
+		src = src[n:]
+	}
+}
+
+// bitsAt returns the 64 bits of row that start at bit off; row must hold a
+// word past the last one they touch.
+func bitsAt(row []uint64, off int) uint64 {
+	i, sh := off>>6, uint(off&63)
+	return row[i]>>sh | row[i+1]<<1<<(63-sh&63)
+}
+
+// grow returns buf resliced to n elements, reallocated only when too small.
+// Contents are unspecified: every user overwrites what it reads.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // PackedLinear is the deployment form of a trained binary dense layer.
+// Like PackedConv2D it keeps eval scratch: one layer, one forward at a time.
 type PackedLinear struct {
 	Name    string
 	In, Out int
 	Alpha   []float32
 	Bias    []float32
 	W       *PackedMatrix // Out rows of In bits
+
+	// Eval state: gemm.X holds the packed input rows, gemm.Scale their
+	// betas; arena, when set, serves the output tensor.
+	gemm  xnorGEMM
+	arena *tensor.Arena
 }
 
 // NewPackedLinear builds a packed dense layer from its dimensions alone,
@@ -142,6 +276,11 @@ func PackLinear(l *Linear) *PackedLinear {
 	return p
 }
 
+// cloneForInference is PackedConv2D.cloneForInference for a dense layer.
+func (p *PackedLinear) cloneForInference() *PackedLinear {
+	return &PackedLinear{Name: p.Name, In: p.In, Out: p.Out, Alpha: p.Alpha, Bias: p.Bias, W: p.W}
+}
+
 // OutShape returns the per-sample output shape.
 func (p *PackedLinear) OutShape(in []int) []int {
 	n := 1
@@ -159,24 +298,28 @@ func (p *PackedLinear) SizeBytes() int64 {
 	return p.W.SizeBytes() + int64(len(p.Alpha))*4 + int64(len(p.Bias))*4
 }
 
-// Forward runs the packed XNOR dense layer on (batch, In) float input.
+// Forward runs the packed XNOR dense layer on (batch, In) float input:
+// every row is packed once, then xnorGEMM splits the outputs across
+// tensor.ParallelFor, each block of weight rows meeting every input row.
 func (p *PackedLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != p.In {
 		panic(fmt.Sprintf("binary: %s expects (batch,%d) input, got %v", p.Name, p.In, x.Shape))
 	}
 	n := x.Dim(0)
-	out := tensor.New(n, p.Out)
-	xrow := make([]uint64, wordsFor(p.In))
+	out := nn.EvalTensor(p.arena, n, p.Out)
+	wpr := p.W.WordsPerRow
+	m := &p.gemm
+	m.W, m.Alpha, m.Bias = p.W, p.Alpha, p.Bias
+	m.X = grow(m.X, n*wpr)
+	m.Scale = grow(m.Scale, n)
 	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		beta := RowScale(row)
-		PackSigns(xrow, row)
-		dst := out.Row(i)
-		for o := 0; o < p.Out; o++ {
-			dot := XnorDot(p.W.Row(o), xrow, p.In)
-			dst[o] = p.Alpha[o]*beta*float32(dot) + p.Bias[o]
-		}
+		row := x.Data[i*p.In : (i+1)*p.In]
+		m.Scale[i] = RowScale(row)
+		PackSigns(m.X[i*wpr:(i+1)*wpr], row)
 	}
+	m.Dst, m.OS, m.JS = out.Data, 1, p.Out
+	tensor.ParallelFor(m.blocks(), m.body())
+	m.Dst = nil
 	return out
 }
 
@@ -190,7 +333,11 @@ type PackedLayer struct {
 	Linear *PackedLinear
 }
 
-var _ nn.Layer = PackedLayer{}
+var (
+	_ nn.Layer          = PackedLayer{}
+	_ nn.ArenaScratch   = PackedLayer{}
+	_ nn.ForwardContext = PackedLayer{}
+)
 
 // Weights returns the layer's per-filter scales and biases and its sign-bit
 // matrix — the three things a bundle's packed section carries.
@@ -199,6 +346,26 @@ func (l PackedLayer) Weights() (alpha, bias []float32, w *PackedMatrix) {
 		return l.Conv.Alpha, l.Conv.Bias, l.Conv.W
 	}
 	return l.Linear.Alpha, l.Linear.Bias, l.Linear.W
+}
+
+// SetArena implements nn.ArenaScratch: the layer's outputs come from a.
+func (l PackedLayer) SetArena(a *tensor.Arena) {
+	if l.Conv != nil {
+		l.Conv.arena = a
+	} else {
+		l.Linear.arena = a
+	}
+}
+
+// CloneForInference implements nn.ForwardContext: the clone shares the
+// packed weights and owns fresh eval scratch, with no arena. Packed layers
+// keep eval state between forwards, so without it nn.CloneForInference
+// would share one layer between the clone and the original.
+func (l PackedLayer) CloneForInference() nn.Layer {
+	if l.Conv != nil {
+		return PackedLayer{Conv: l.Conv.cloneForInference()}
+	}
+	return PackedLayer{Linear: l.Linear.cloneForInference()}
 }
 
 // Name implements nn.Layer.

@@ -85,8 +85,24 @@ func Build(name string, cfg Config) (*Composite, error) {
 // from an RNG; modelio.DecodeBrowserBundle fills it from a browser bundle.
 // Layer names, order and shapes are those of Build: both come from the same
 // definition.
+//
+// A client composite runs its eval forwards out of one arena installed over
+// Shared and Binary, so that a recognition reuses the memory of the one
+// before. The contract is CloneForServing's: call ResetScratch before each
+// recognition; the tensors a forward returns are valid until the next
+// ResetScratch, so copy out whatever must outlive it. Nothing is sized
+// here: the first recognition sizes the arena. Without a ResetScratch the
+// arena only ever overflows to the heap, and forwards behave as they would
+// without one.
 func BuildClient(name string, cfg Config) (*Composite, error) {
-	return build(name, cfg, nil)
+	m, err := build(name, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	m.arena = tensor.NewArena()
+	nn.InstallArena(m.Shared, m.arena)
+	nn.InstallArena(m.Binary, m.arena)
+	return m, nil
 }
 
 func build(name string, cfg Config, g *tensor.RNG) (*Composite, error) {

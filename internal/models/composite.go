@@ -66,8 +66,9 @@ type Composite struct {
 	// Cfg is the configuration the network was built with.
 	Cfg Config
 
-	// arena backs per-request eval scratch on CloneForServing replicas;
-	// nil on the original model and plain CloneForInference copies.
+	// arena backs per-request eval scratch on CloneForServing replicas
+	// (MainRest) and on client builds (Shared and Binary, see BuildClient);
+	// nil on Build models and plain CloneForInference copies.
 	arena *tensor.Arena
 }
 
@@ -103,8 +104,9 @@ func (m *Composite) CloneForServing() *Composite {
 	return c
 }
 
-// ResetScratch recycles the replica's arena scratch (no-op without one).
-// Tensors returned by earlier forwards on this replica become invalid.
+// ResetScratch recycles the arena scratch of a serving replica or a client
+// build (no-op without one). Tensors returned by earlier forwards on this
+// composite become invalid.
 func (m *Composite) ResetScratch() {
 	if m.arena != nil {
 		m.arena.Reset()

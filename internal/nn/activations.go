@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"lcrs/internal/tensor"
 )
 
@@ -36,15 +38,21 @@ func (r *ReLU) FLOPs(in []int) int64 { return int64(shapeProduct(in)) }
 // Forward implements Layer. Every output element is written explicitly —
 // arena-backed eval outputs recycle a previous request's bytes, so relying
 // on zeroed storage for the negative lanes would leak stale values.
+//
+// The eval loop decides from v's bits instead of branching on v > 0: an
+// activation's sign is random, so the branch would mispredict on half the
+// elements. Read as an unsigned integer, the bit pattern is at most
+// 0x7f800000 (+Inf) exactly when v is +0 or above, and not a NaN; those
+// patterns are kept and all others masked to +0. That is v > 0 ? v : 0 to
+// the bit: +0 is kept as itself, -0, negatives and NaNs become +0.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
-		out := evalTensor(r.arena, x.Shape...)
+		out := EvalTensor(r.arena, x.Shape...)
+		dst := out.Data[:len(x.Data)]
 		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
+			u := math.Float32bits(v)
+			keep := (uint64(u) - 0x7f800001) >> 63
+			dst[i] = math.Float32frombits(u & -uint32(keep))
 		}
 		return out
 	}

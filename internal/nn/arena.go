@@ -8,10 +8,10 @@ import "lcrs/internal/tensor"
 // steady state; the outputs it returns are only valid until the arena's
 // next Reset.
 //
-// Install an arena only on layer trees owned by a single serving replica
-// (models.Composite.CloneForServing does this): layers obtained from
-// CloneForInference have private scratch, so the arena is never shared
-// across goroutines.
+// Install an arena only on layer trees that run one forward at a time — a
+// serving replica (models.Composite.CloneForServing) or a client build
+// (models.BuildClient): layers obtained from CloneForInference have
+// private scratch, so the arena is never shared across goroutines.
 type ArenaScratch interface {
 	SetArena(a *tensor.Arena)
 }
@@ -25,14 +25,14 @@ func InstallArena(l Layer, a *tensor.Arena) {
 	})
 }
 
-// evalTensor allocates an eval-mode output tensor: from the arena when one
+// EvalTensor allocates an eval-mode output tensor: from the arena when one
 // is installed — contents are UNINITIALIZED, the caller must write every
 // element — from the (zeroed) heap otherwise. The heap branch copies shape
 // before handing it to tensor.New, whose panic paths make its argument
 // escape; without the copy every call site would heap-allocate its shape
 // literal even on the arena path, costing the zero-alloc budget one object
 // per layer per request.
-func evalTensor(a *tensor.Arena, shape ...int) *tensor.Tensor {
+func EvalTensor(a *tensor.Arena, shape ...int) *tensor.Tensor {
 	if a != nil {
 		return a.New(shape...)
 	}

@@ -109,7 +109,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		// Every element is written (the per-channel sweep covers the whole
 		// tensor), so uninitialized arena storage is safe.
-		out := evalTensor(bn.arena, x.Shape...)
+		out := EvalTensor(bn.arena, x.Shape...)
 		for c := 0; c < bn.C; c++ {
 			invStd := float32(1 / math.Sqrt(float64(bn.RunningVar.Data[c])+float64(bn.Eps)))
 			scale := bn.Gamma.Value.Data[c] * invStd

@@ -197,7 +197,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // state; samples are sliced from x.Data directly (x.Batch would allocate a
 // header per sample).
 func (c *Conv2D) forwardFused(x *tensor.Tensor, g tensor.ConvGeom, n, p, k, outH, outW int) *tensor.Tensor {
-	out := evalTensor(c.arena, n, c.OutC, outH, outW)
+	out := EvalTensor(c.arena, n, c.OutC, outH, outW)
 	need := tensor.ConvPanelLen(k, p)
 	var panel []float32
 	if c.arena != nil {

@@ -80,7 +80,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// columns computed by the persistent chunk body. Per element this
 		// is the same ascending-k dot product plus one bias add as the
 		// train path below, so results are bitwise identical to it.
-		out := evalTensor(l.arena, x.Dim(0), l.Out)
+		out := EvalTensor(l.arena, x.Dim(0), l.Out)
 		if l.kern == nil {
 			l.kern = l.evalRange
 		}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lcrs/internal/tensor"
 )
@@ -58,67 +59,140 @@ func (m *MaxPool2D) FLOPs(in []int) int64 {
 }
 
 // Forward implements Layer.
+//
+// The eval pass of a 2×2 pool — every pool in internal/models — takes the
+// builtin max over every window that lies inside the plane: no
+// data-dependent branch, where scanning for the maximum mispredicts on
+// random activations at nearly every element. Builtin max differs from the
+// definition (scan) in three cases only, and each leaves a result a rarely
+// taken fix-up sends back to scan: a NaN (max propagates it, scan skips
+// it), +0 (max prefers +0 to -0, scan keeps the first zero it meets) and
+// -Inf (nothing exceeds it, so scan writes 0). Other window sizes, windows
+// that reach into padding, and the training pass, which records argmax, run
+// scan itself. Results are therefore scan's, bit for bit.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(m.name, x, 4)
 	n, c := x.Dim(0), x.Dim(1)
 	g := m.geom(x.Shape[1:])
 	outH, outW := g.OutH(), g.OutW()
-	var out *tensor.Tensor
+	inH, inW := x.Dim(2), x.Dim(3)
 	if train {
-		out = tensor.New(n, c, outH, outW)
-	} else {
-		// Every output element is written below (all-padding windows
-		// store 0 explicitly), so uninitialized arena storage is safe.
-		out = evalTensor(m.arena, n, c, outH, outW)
-	}
-	if train {
+		out := tensor.New(n, c, outH, outW)
 		m.lastShape = append([]int(nil), x.Shape...)
 		if cap(m.argmax) < out.Len() {
 			m.argmax = make([]int32, out.Len())
 		}
 		m.argmax = m.argmax[:out.Len()]
-	}
-	inH, inW := x.Dim(2), x.Dim(3)
-	oi := 0
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(b*c+ch)*inH*inW:]
+		oi := 0
+		for p := 0; p < n*c; p++ {
+			plane := x.Data[p*inH*inW : (p+1)*inH*inW]
 			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*m.Stride - m.Pad
 				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*m.Stride - m.Pad
-					best := float32(math.Inf(-1))
-					bestIdx := int32(-1)
-					for ky := 0; ky < m.K; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						for kx := 0; kx < m.K; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= inW {
-								continue
-							}
-							idx := iy*inW + ix
-							if v := plane[idx]; v > best {
-								best = v
-								bestIdx = int32((b*c+ch)*inH*inW + idx)
-							}
-						}
+					v, idx := m.scan(plane, inH, inW, oy*m.Stride-m.Pad, ox*m.Stride-m.Pad)
+					if idx >= 0 {
+						idx += int32(p * inH * inW)
 					}
-					if bestIdx < 0 {
-						best = 0 // window entirely in padding
-					}
-					out.Data[oi] = best
-					if train {
-						m.argmax[oi] = bestIdx
-					}
+					out.Data[oi], m.argmax[oi] = v, idx
 					oi++
 				}
 			}
 		}
+		return out
+	}
+	// Every output element is written below, so uninitialized arena storage
+	// is safe.
+	out := EvalTensor(m.arena, n, c, outH, outW)
+	yLo, yHi := inside(inH, m.K, m.Stride, m.Pad, outH)
+	xLo, xHi := inside(inW, m.K, m.Stride, m.Pad, outW)
+	if m.K != 2 {
+		yLo, yHi = outH, outH // no window takes maxInside
+	}
+	for p := 0; p < n*c; p++ {
+		plane := x.Data[p*inH*inW : (p+1)*inH*inW]
+		for oy := 0; oy < outH; oy++ {
+			row := out.Data[(p*outH+oy)*outW : (p*outH+oy+1)*outW]
+			iy0 := oy*m.Stride - m.Pad
+			lo, hi := xLo, xHi
+			if oy < yLo || oy >= yHi {
+				lo, hi = outW, outW
+			}
+			for ox := 0; ox < lo; ox++ {
+				row[ox], _ = m.scan(plane, inH, inW, iy0, ox*m.Stride-m.Pad)
+			}
+			m.maxInside(row[lo:hi], plane, inH, inW, iy0, lo*m.Stride-m.Pad)
+			for ox := hi; ox < outW; ox++ {
+				row[ox], _ = m.scan(plane, inH, inW, iy0, ox*m.Stride-m.Pad)
+			}
+		}
 	}
 	return out
+}
+
+// inside returns the output indices [lo, hi) on one axis whose windows lie
+// within an input extent of n.
+func inside(n, k, stride, pad, out int) (lo, hi int) {
+	lo = min((pad+stride-1)/stride, out)
+	hi = lo
+	if n-k+pad >= 0 {
+		hi = max(lo, min(out, (n-k+pad)/stride+1))
+	}
+	return lo, hi
+}
+
+// maxInside writes dst[j], the 2×2 pool of the window with top-left corner
+// (iy0, ix0+j*Stride), for windows inside the plane (see Forward).
+func (m *MaxPool2D) maxInside(dst, plane []float32, inH, inW, iy0, ix0 int) {
+	if len(dst) == 0 {
+		return // a border row: iy0 may lie outside the plane
+	}
+	r0 := plane[iy0*inW : (iy0+1)*inW]
+	r1 := plane[(iy0+1)*inW : (iy0+2)*inW]
+	for j := range dst {
+		x := ix0 + j*m.Stride
+		v := max(max(r0[x], r0[x+1]), max(r1[x], r1[x+1]))
+		if needsScan(v) {
+			v, _ = m.scan(plane, inH, inW, iy0, x)
+		}
+		dst[j] = v
+	}
+}
+
+// needsScan reports whether a builtin max may differ from scan: for +0,
+// -Inf and NaN. Rotating the sign bit into bit 0 maps +0 to 0, -Inf to
+// 0xff000001 and every NaN above it, while -0 becomes 1 and +Inf
+// 0xff000000, so one unsigned compare catches exactly the three.
+func needsScan(v float32) bool {
+	return bits.RotateLeft32(math.Float32bits(v), 1)-1 >= 0xff000000
+}
+
+// scan is the definition of the pool at the window with top-left corner
+// (iy0, ix0): a row-major scan from -Inf that takes an element only when it
+// is strictly greater than the best so far, skipping padding — so a NaN is
+// never taken and of equal values (-0 and +0 included) the first wins. It
+// returns the value with its index in plane, or 0 and -1 when no element
+// exceeds -Inf (the window is all padding, -Inf or NaN).
+func (m *MaxPool2D) scan(plane []float32, inH, inW, iy0, ix0 int) (float32, int32) {
+	best, bestIdx := float32(math.Inf(-1)), int32(-1)
+	for ky := 0; ky < m.K; ky++ {
+		iy := iy0 + ky
+		if iy < 0 || iy >= inH {
+			continue
+		}
+		for kx := 0; kx < m.K; kx++ {
+			ix := ix0 + kx
+			if ix < 0 || ix >= inW {
+				continue
+			}
+			idx := iy*inW + ix
+			if v := plane[idx]; v > best {
+				best, bestIdx = v, int32(idx)
+			}
+		}
+	}
+	if bestIdx < 0 {
+		return 0, -1
+	}
+	return best, bestIdx
 }
 
 // Backward implements Layer.
@@ -190,7 +264,7 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		out = tensor.New(n, c, outH, outW)
 	} else {
-		out = evalTensor(a.arena, n, c, outH, outW) // every element written below
+		out = EvalTensor(a.arena, n, c, outH, outW) // every element written below
 	}
 	inv := 1 / float32(a.K*a.K)
 	oi := 0

@@ -155,7 +155,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// uninitialized arena storage is safe. r.relu is shared between a
 		// model and its inference clones (CloneForInference keeps the
 		// pointer), so the eval path must not touch its state.
-		out := evalTensor(r.arena, main.Shape...)
+		out := EvalTensor(r.arena, main.Shape...)
 		sd := skip.Data
 		for i, v := range main.Data {
 			if s := v + sd[i]; s > 0 {

@@ -26,6 +26,7 @@ func (c *Client) RecognizeBatch(ctx context.Context, xs *tensor.Tensor) ([]Resul
 	}
 	n := xs.Dim(0)
 	start := time.Now()
+	c.model.ResetScratch()
 	shared := c.model.ForwardShared(xs, false)
 	logits := c.branch.Forward(shared)
 	probs := tensor.Softmax(logits)

@@ -30,13 +30,19 @@ import (
 // Client talks to one edge server and executes the browser side of
 // Algorithm 2.
 //
-// A Client models one browser session and runs one recognition at a time:
-// Recognize and RecognizeBatch share the model's per-layer scratch
-// buffers (see models.CloneForInference) and must not run concurrently
-// with each other. SetTau, Tau and the exit-backlog accounting are
-// lock-free and safe to call from other goroutines while a recognition
-// is in flight — a mid-flight threshold change applies to the next
-// decision, never partially to the current one.
+// A Client models one browser session and runs one recognition at a time.
+// Its model runs out of the arena models.BuildClient installs: each
+// Recognize or RecognizeBatch first rewinds it (ResetScratch), so the
+// tensors a recognition computes — conv1's output, the branch's
+// activations and logits — are valid until the next Recognize or
+// RecognizeBatch, and a Result holds none of them. Recognize and
+// RecognizeBatch therefore must not run concurrently with each other, nor
+// with LoadModel or RevalidateBundle. The arena belongs to the installed
+// model, so a newly installed version brings its own and no layer can
+// write into the one it replaced. SetTau, Tau and the exit-backlog
+// accounting are lock-free and safe to call from other goroutines while a
+// recognition is in flight — a mid-flight threshold change applies to the
+// next decision, never partially to the current one.
 type Client struct {
 	base string
 	http *http.Client
@@ -395,6 +401,7 @@ func (c *Client) Recognize(ctx context.Context, x *tensor.Tensor) (Result, error
 		return Result{}, fmt.Errorf("webclient: no model loaded")
 	}
 	start := time.Now()
+	c.model.ResetScratch()
 	batch := x.Reshape(append([]int{1}, x.Shape...)...)
 	shared := c.model.ForwardShared(batch, false)
 	// The binary branch runs through the bit-packed XNOR executor — the
