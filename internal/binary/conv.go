@@ -29,17 +29,13 @@ type Conv2D struct {
 	lastAlpha []float32
 	lastGeom  tensor.ConvGeom
 
-	// inference scratch, reused across eval forward passes (see
-	// nn.Conv2D.colsBuffer for the aliasing rules; not concurrency safe).
-	scratchRaw, scratchCols, scratchK []float32
-
-	// Fused-path scratch: wEst holds the binarized weight matrix, aplane
-	// the channel-mean |I| plane for InputScalesInto, panel the pack
-	// buffer, st the reusable fused-GEMM driver. Like the buffers above
-	// these persist across eval forwards; the fused path never touches
-	// scratchRaw/scratchCols, so the full cols matrix is not materialized.
-	wEst, aplane, panel []float32
-	st                  tensor.ConvGemmState
+	// Eval-path scratch, reused across forwards (see nn.Conv2D for the
+	// aliasing rules; not concurrency safe): wEst holds the binarized
+	// weight matrix, ks the input scales, aplane the channel-mean |I| plane
+	// for InputScalesInto, panel the pack buffer, st the reusable fused-GEMM
+	// state. The full cols matrix is never materialized.
+	wEst, ks, aplane, panel []float32
+	st                      tensor.ConvGemmState
 }
 
 // CloneForInference implements nn.ForwardContext: the clone shares the
@@ -51,21 +47,6 @@ func (c *Conv2D) CloneForInference() nn.Layer {
 		Stride: c.Stride, Pad: c.Pad,
 		Weight: c.Weight, Bias: c.Bias,
 	}
-}
-
-// buffers returns (raw, cols, k) slices of the requested sizes, reusing
-// the training caches in train mode and the inference scratch otherwise.
-func (c *Conv2D) buffers(nRaw, nK int, train bool) (raw, cols, ks []float32) {
-	grow := func(buf *[]float32, n int) []float32 {
-		if cap(*buf) < n {
-			*buf = make([]float32, n)
-		}
-		return (*buf)[:n]
-	}
-	if train {
-		return grow(&c.lastRaw, nRaw), grow(&c.lastCols, nRaw), grow(&c.lastK, nK)
-	}
-	return grow(&c.scratchRaw, nRaw), grow(&c.scratchCols, nRaw), grow(&c.scratchK, nK)
 }
 
 var _ nn.Layer = (*Conv2D)(nil)
@@ -133,16 +114,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p := outH * outW
 	k := c.InC * c.KH * c.KW
 
-	if !train && nn.FusedConvEnabled() {
+	if !train {
 		return c.forwardFused(x, g, nn0, p, k, outH, outW)
 	}
 
-	// Binarize weights: W~ = alpha * sign(W).
+	// Training materializes the raw and scaled sign matrices: Backward
+	// needs both. Binarize weights: W~ = alpha * sign(W).
 	wEst := tensor.New(c.OutC, k)
 	alphas := EstimateWeights(wEst, c.Weight.Value.Reshape(c.OutC, k))
 
 	out := tensor.New(nn0, c.OutC, outH, outW)
-	rawAll, colsAll, kAll := c.buffers(nn0*p*k, nn0*p, train)
+	c.lastRaw, c.lastCols, c.lastK = grow(c.lastRaw, nn0*p*k), grow(c.lastCols, nn0*p*k), grow(c.lastK, nn0*p)
+	rawAll, colsAll, kAll := c.lastRaw, c.lastCols, c.lastK
 
 	for i := 0; i < nn0; i++ {
 		img := x.Batch(i).Data
@@ -178,14 +161,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	if train {
-		c.lastInput = x
-		c.lastCols = colsAll
-		c.lastRaw = rawAll
-		c.lastK = kAll
-		c.lastAlpha = alphas
-		c.lastGeom = g
-	}
+	c.lastInput, c.lastAlpha, c.lastGeom = x, alphas, g
 	return out
 }
 
@@ -193,35 +169,28 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // packed panel-by-panel (tensor.ConvGemmState with Scale set) and consumed
 // by the blocked kernels, so neither the raw im2col matrix nor the scaled
 // sign matrix is ever materialized. Per output element the accumulation is
-// the same single ascending-k chain plus one bias add as the legacy
-// MatMulTransB path, so outputs are bitwise identical (conv_fuse_test.go).
+// the same single ascending-k chain plus one bias add as the training
+// forward's MatMulTransB, so outputs are bitwise identical (conv_fuse_test.go).
 func (c *Conv2D) forwardFused(x *tensor.Tensor, g tensor.ConvGeom, n, p, k, outH, outW int) *tensor.Tensor {
-	grow := func(buf *[]float32, need int) []float32 {
-		if cap(*buf) < need {
-			*buf = make([]float32, need)
-		}
-		return (*buf)[:need]
-	}
 	// Binarize weights: W~ = alpha * sign(W). The alphas are folded into
 	// wEst; they are only needed separately by Backward.
-	wEst := tensor.FromSlice(grow(&c.wEst, c.OutC*k), c.OutC, k)
-	EstimateWeights(wEst, c.Weight.Value.Reshape(c.OutC, k))
+	c.wEst = grow(c.wEst, c.OutC*k)
+	EstimateWeights(tensor.FromSlice(c.wEst, c.OutC, k), c.Weight.Value.Reshape(c.OutC, k))
 
 	out := tensor.New(n, c.OutC, outH, outW)
-	ks := grow(&c.scratchK, p)
-	aplane := grow(&c.aplane, g.InH*g.InW)
+	c.ks, c.aplane, c.panel = grow(c.ks, p), grow(c.aplane, g.InH*g.InW), grow(c.panel, tensor.ConvPanelLen(k, p))
 	st := &c.st
 	st.G = g
 	st.OutC = c.OutC
-	st.W = wEst.Data
+	st.W = c.wEst
 	st.Bias = c.Bias.Value.Data
-	st.Panel = grow(&c.panel, tensor.ConvPanelLen(k, p))
+	st.Panel = c.panel
 	sample := g.InC * g.InH * g.InW
 	plane := c.OutC * p
 	for i := 0; i < n; i++ {
 		img := x.Data[i*sample : (i+1)*sample]
-		InputScalesInto(ks, aplane, g, img)
-		st.Scale = ks
+		InputScalesInto(c.ks, c.aplane, g, img)
+		st.Scale = c.ks
 		st.Img = img
 		st.Out = out.Data[i*plane : (i+1)*plane]
 		st.Run()

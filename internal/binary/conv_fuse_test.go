@@ -4,12 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
 
 // The fused eval binary convolution (panel-packed ±K_p sign matrix) must be
-// bitwise identical to the legacy materialized-cols MatMulTransB path.
+// bitwise identical to the legacy materialized-cols MatMulTransB kernel —
+// the layer's own training forward, which has no stochastic step.
 func TestBinaryConv2DFusedMatchesLegacyBitwise(t *testing.T) {
 	shapes := []struct {
 		n, inC, outC, h, w, k, stride, pad int
@@ -24,9 +24,7 @@ func TestBinaryConv2DFusedMatchesLegacyBitwise(t *testing.T) {
 		c := NewConv2D("bc", g, sh.inC, sh.outC, sh.k, sh.k, sh.stride, sh.pad)
 		x := g.Uniform(-2, 2, sh.n, sh.inC, sh.h, sh.w)
 
-		prev := nn.SetFusedConv(false)
-		legacy := c.Forward(x, false)
-		nn.SetFusedConv(true)
+		legacy := c.Forward(x, true)
 		for _, workers := range []int{1, 8} {
 			prevW := tensor.SetMaxWorkers(workers)
 			fused := c.Forward(x, false)
@@ -40,15 +38,13 @@ func TestBinaryConv2DFusedMatchesLegacyBitwise(t *testing.T) {
 				}
 			}
 		}
-		// The fused path must not have materialized the cols matrices
-		// (fusion is still pinned on here).
+		// The eval path must not materialize the cols matrices.
 		clone := c.CloneForInference().(*Conv2D)
 		clone.Forward(x, false)
-		if len(clone.scratchRaw) != 0 || len(clone.scratchCols) != 0 {
-			t.Fatalf("%+v: fused eval materialized cols scratch (raw %d, cols %d)",
-				sh, len(clone.scratchRaw), len(clone.scratchCols))
+		if len(clone.lastRaw) != 0 || len(clone.lastCols) != 0 {
+			t.Fatalf("%+v: eval forward materialized cols (raw %d, cols %d)",
+				sh, len(clone.lastRaw), len(clone.lastCols))
 		}
-		nn.SetFusedConv(prev)
 	}
 }
 

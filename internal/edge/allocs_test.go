@@ -3,7 +3,6 @@ package edge
 import (
 	"testing"
 
-	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
 
@@ -16,9 +15,6 @@ import (
 func TestServerReplicaForwardZeroAllocs(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("race runtime allocates; budget only meaningful without -race")
-	}
-	if !nn.FusedConvEnabled() {
-		t.Skip("legacy conv path allocates its outputs; budget requires fusion")
 	}
 	// AllocsPerRun pins GOMAXPROCS to 1, which makes ParallelFor run
 	// serially — but force one worker explicitly so the measurement does
@@ -55,9 +51,6 @@ func TestServerReplicaForwardZeroAllocs(t *testing.T) {
 func TestServerReplicaBatchForwardZeroAllocs(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("race runtime allocates; budget only meaningful without -race")
-	}
-	if !nn.FusedConvEnabled() {
-		t.Skip("legacy conv path allocates its outputs; budget requires fusion")
 	}
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)

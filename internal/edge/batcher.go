@@ -29,30 +29,15 @@ import (
 // clients, short enough to be noise next to a conv-stack forward.
 const DefaultBatchWait = 2 * time.Millisecond
 
-// batchRequest is one parked inference awaiting a coalesced forward.
+// batchRequest is one request's rows of a forward (entry.forward): the
+// direct path runs a batch of one, the batcher stacks parked requests.
 type batchRequest struct {
-	t      *tensor.Tensor // normalized batched intermediate (N x shared-out)
-	n      int            // sample count, t.Dim(0)
-	parked time.Time      // when the request entered the coalescing queue
-	// done receives exactly one result; buffered so the batch runner
-	// never blocks on a slow handler.
-	done chan batchResult
-}
-
-// batchResult carries one request's slice of a coalesced forward.
-type batchResult struct {
-	preds     []int
-	probs     []float32 // softmax of the request's first sample
-	micros    int64     // shared batched-forward time
-	coalesced bool      // true when the forward served >1 request
-	// Stage attribution for the request's trace: time parked waiting for
-	// batch peers or the deadline, time the batch waited for a free
-	// replica, and the shared forward itself. The latter two are the
-	// batch's times, charged whole to every member — each request really
-	// did wait (and compute) for that long, it just shared the bill.
-	batchWait time.Duration
-	queueWait time.Duration
-	forward   time.Duration
+	t *tensor.Tensor // normalized batched intermediate (N x shared-out)
+	o *inferOutcome  // receives the answer, stage times and coalesced flag
+	// parked is when the request entered the coalescing queue (zero on the
+	// direct path); done is closed once the forward has filled o.
+	parked time.Time
+	done   chan struct{}
 }
 
 // batcher coalesces concurrent infer requests for one registered model.
@@ -83,42 +68,20 @@ func newBatcher(e *entry, max int, wait time.Duration) *batcher {
 	return b
 }
 
-// enqueue offers a request to the collect loop. It reports false when the
-// batcher is shutting down, in which case the caller must serve the
-// request itself (the direct inferOn path).
-func (b *batcher) enqueue(r *batchRequest) bool {
+// infer parks the request in the coalescing queue and blocks until its
+// share of a batched forward has been filled into o. It reports false
+// when the batcher is shutting down; the caller then runs a direct
+// forward itself.
+func (b *batcher) infer(t *tensor.Tensor, o *inferOutcome) bool {
+	r := &batchRequest{t: t, o: o, parked: time.Now(), done: make(chan struct{})}
 	select {
 	case b.reqCh <- r:
-		return true
 	case <-b.stop:
 		return false
 	}
-}
-
-// infer parks the request tensor in the coalescing queue and blocks until
-// its slice of the batched forward arrives, recording the batch-wait,
-// replica-wait and forward stages into tr.
-func (b *batcher) infer(name string, t *tensor.Tensor, tr *trace) (InferResponse, bool) {
-	r := &batchRequest{t: t, n: t.Dim(0), parked: time.Now(), done: make(chan batchResult, 1)}
-	if !b.enqueue(r) {
-		return InferResponse{}, false
-	}
-	res := <-r.done
-	tr.stages[stageBatchWait] = res.batchWait
-	tr.stages[stageQueue] = res.queueWait
-	tr.stages[stageForward] = res.forward
-	b.e.stats.InferRequests.Add(1)
-	b.e.stats.BatchedRequests.Add(1)
-	if res.coalesced {
-		b.e.stats.CoalescedRequests.Add(1)
-	}
-	return InferResponse{
-		Model:        name,
-		Pred:         res.preds[0],
-		Preds:        res.preds,
-		Probs:        res.probs,
-		ServerMicros: res.micros,
-	}, true
+	<-r.done
+	o.batched = true
+	return true
 }
 
 // close stops the collect loop, flushes everything already queued, and
@@ -161,7 +124,7 @@ func (b *batcher) loop() {
 		select {
 		case r := <-b.reqCh:
 			pending = append(pending, r)
-			pendingN += r.n
+			pendingN += r.t.Dim(0)
 			if pendingN >= b.max {
 				flush()
 			} else if timer == nil {
@@ -172,7 +135,7 @@ func (b *batcher) loop() {
 			timer, deadline = nil, nil
 			flush()
 		case <-b.stop:
-			// Drain requests whose enqueue already committed, then flush
+			// Drain requests whose send already committed, then flush
 			// the remainder immediately — shutdown must not sit out the
 			// deadline. Senders that lose the race observe the closed
 			// stop channel and fall back to the direct path.
@@ -180,7 +143,7 @@ func (b *batcher) loop() {
 				select {
 				case r := <-b.reqCh:
 					pending = append(pending, r)
-					pendingN += r.n
+					pendingN += r.t.Dim(0)
 				default:
 					flush()
 					return
@@ -190,69 +153,21 @@ func (b *batcher) loop() {
 	}
 }
 
-// run executes one coalesced forward and scatters per-request results.
+// run executes one coalesced forward and releases its requests.
 func (b *batcher) run(batch []*batchRequest, total int) {
-	e := b.e
 	t := batch[0].t
 	if len(batch) > 1 {
 		// Stack the queued intermediates into one contiguous NCHW batch.
-		per := t.Len() / t.Dim(0)
 		t = tensor.New(append([]int{total}, t.Shape[1:]...)...)
 		off := 0
 		for _, r := range batch {
-			copy(t.Data[off*per:], r.t.Data)
-			off += r.n
+			off += copy(t.Data[off:], r.t.Data)
 		}
 	}
-
-	queueStart := time.Now()
-	m := e.checkout()
-	queueWait := time.Since(queueStart)
-	start := time.Now()
-	m.ResetScratch()
-	logits := m.ForwardMainRest(t, false)
-	elapsed := time.Since(start)
-	// logits live in the replica's arena, so every per-request result is
-	// materialized before the replica goes back to the pool (the next
-	// checkout's ResetScratch recycles the storage).
-	coalesced := len(batch) > 1
-	results := make([]batchResult, len(batch))
-	off := 0
-	for i, r := range batch {
-		results[i] = batchResult{
-			preds:     argmaxRows(logits, off, off+r.n),
-			probs:     make([]float32, logits.Dim(1)),
-			micros:    elapsed.Microseconds(),
-			coalesced: coalesced,
-			batchWait: queueStart.Sub(r.parked),
-			queueWait: queueWait,
-			forward:   elapsed,
-		}
-		tensor.SoftmaxRow(results[i].probs, logits.Row(off))
-		off += r.n
+	b.e.forward(t, batch)
+	b.e.stats.Batches.Inc()
+	b.e.stats.batchSize.Observe(float64(total))
+	for _, r := range batch {
+		close(r.done)
 	}
-	e.checkin(m)
-	e.stats.ComputeMicros.Add(elapsed.Microseconds())
-	e.stats.Batches.Add(1)
-	e.stats.observeBatch(total)
-
-	for i, r := range batch {
-		r.done <- results[i]
-	}
-}
-
-// argmaxRows returns the per-row argmax of logits rows [lo, hi).
-func argmaxRows(logits *tensor.Tensor, lo, hi int) []int {
-	preds := make([]int, hi-lo)
-	for i := lo; i < hi; i++ {
-		row := logits.Row(i)
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, bi = v, j+1
-			}
-		}
-		preds[i-lo] = bi
-	}
-	return preds
 }

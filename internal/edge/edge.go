@@ -34,7 +34,6 @@ import (
 	"lcrs/internal/models"
 	"lcrs/internal/obs"
 	"lcrs/internal/slo"
-	"lcrs/internal/tensor"
 )
 
 // InferResponse is the JSON reply to an inference request.
@@ -106,6 +105,8 @@ type ModelInfo struct {
 // batcher, answer cache, tau controller — belongs to exactly one version
 // and a hot-swap can never mix versions inside a batch or a cache.
 type entry struct {
+	// name is the model name the entry serves under.
+	name string
 	// version is the content-addressed version string; etag is its quoted
 	// form, the strong ETag of /v1/bundle and /v1/pack responses.
 	version string
@@ -118,11 +119,15 @@ type entry struct {
 	pack []byte
 	// replicas is a bounded pool of eval-mode forward contexts: clones of
 	// model that share every parameter tensor but own private per-layer
-	// scratch buffers (models.Composite.CloneForInference). A request
-	// checks a replica out, runs the main-branch rest on it, and returns
-	// it, so up to cap(replicas) inferences run in parallel while memory
-	// stays bounded at replicas x scratch footprint.
+	// scratch buffers (models.Composite.CloneForInference). forward checks
+	// a replica out, runs the main-branch rest on it, and returns it, so up
+	// to cap(replicas) inferences run in parallel while memory stays
+	// bounded at replicas x scratch footprint.
 	replicas chan *models.Composite
+
+	// maxBody caps an infer request body at the largest valid frame
+	// (maxInferBody); admit enforces it.
+	maxBody int64
 
 	// batcher coalesces concurrent requests into shared batched forwards
 	// when the server has batching enabled; nil otherwise (the default).
@@ -149,15 +154,6 @@ type entry struct {
 	// surface) and re-activation resumes the same series.
 	win *slo.Target
 }
-
-// checkout borrows a forward context from the pool, blocking until one is
-// free; the caller must hand it back with checkin.
-func (e *entry) checkout() *models.Composite {
-	e.checkouts.Add(1)
-	return <-e.replicas
-}
-
-func (e *entry) checkin(m *models.Composite) { e.replicas <- m }
 
 // batchHistBounds are the inclusive upper bounds of the batch-size
 // histogram buckets; the last bucket ends at maxInferBatch, the largest
@@ -205,9 +201,6 @@ type modelStats struct {
 	// stage histogram carries the same information in seconds for /metrics.
 	ComputeMicros atomic.Int64
 }
-
-// observeBatch records one batched forward of n samples in the histogram.
-func (s *modelStats) observeBatch(n int) { s.batchSize.Observe(float64(n)) }
 
 // ModelStats is the JSON form of one model's serving counters.
 type ModelStats struct {
@@ -576,227 +569,6 @@ func (s *Server) serveVersioned(w http.ResponseWriter, r *http.Request, e *entry
 	http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
 }
 
-// handleInfer serves one offloaded inference, tracing every stage of the
-// pipeline (trace.go) into the model's histograms.
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	name := strings.TrimPrefix(r.URL.Path, "/v1/infer/")
-	e, ok := s.lookup(name)
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown model %q", name), http.StatusNotFound)
-		return
-	}
-	if pin := r.Header.Get(collab.ModelVersionHeader); pin != "" && pin != e.version {
-		// The client pinned the version its binary branch was downloaded
-		// from, and a hot-swap has moved the edge past it: the intermediate
-		// tensor was computed by a shared prefix that no longer matches the
-		// serving weights. Reject so the client re-syncs its bundle instead
-		// of fusing mismatched halves.
-		w.Header().Set(collab.ModelVersionHeader, e.version)
-		http.Error(w, fmt.Sprintf("model %q is now version %s (request pinned %s); revalidate the bundle",
-			name, e.version, pin), http.StatusConflict)
-		return
-	}
-	info := reqInfoFrom(r.Context())
-	if info == nil {
-		// handleInfer reached without the traced middleware (tests hitting
-		// it directly); keep a record anyway so enrichment never nil-checks.
-		info = &reqInfo{id: collab.NewRequestID()}
-	}
-	info.model = name
-	info.version = e.version
-	// Windowed SLO accounting starts here, inside handleInfer, which is
-	// what structurally excludes /metrics scrapes and health probes from
-	// SLO evaluation: only inference traffic ever reaches a target.
-	inferStart := time.Now()
-	var tr trace
-	body := &timingReader{r: r.Body}
-	decodeStart := time.Now()
-	var (
-		t       *tensor.Tensor
-		codecID collab.CodecID
-		tel     *collab.Telemetry
-		key     collab.Key
-		err     error
-	)
-	if e.cache != nil {
-		// The canonical frame key is folded in while the payload streams
-		// through the decoder, so content addressing costs no second pass.
-		t, codecID, tel, key, err = collab.ReadFrameTelemetryKeyed(body)
-	} else {
-		t, codecID, tel, err = collab.ReadFrameTelemetry(body)
-	}
-	tr.stages[stageRead] = body.took
-	tr.stages[stageDecode] = time.Since(decodeStart) - body.took
-	if err != nil {
-		e.stats.InferRequests.Inc()
-		e.stats.InferErrors.Inc()
-		e.observeWin(inferStart, true)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.codecAccepted(codecID) {
-		e.stats.InferRequests.Inc()
-		e.stats.InferErrors.Inc()
-		e.observeWin(inferStart, true)
-		http.Error(w, fmt.Sprintf("codec 0x%02x not enabled on this server", uint8(codecID)),
-			http.StatusUnsupportedMediaType)
-		return
-	}
-	e.stats.PayloadBytes.Add(body.n)
-	t, err = normalizeIntermediate(e, t)
-	if err != nil {
-		e.stats.InferRequests.Inc()
-		e.stats.InferErrors.Inc()
-		e.observeWin(inferStart, true)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var resp InferResponse
-	if cache := e.cache; cache != nil {
-		// Answer cache: a hit (or a single-flight follower) is served
-		// without touching the queue, batcher or replica pool; the queue/
-		// batch_wait/forward stages stay zero, which is exactly what the
-		// stage histograms should say about it.
-		hitStart := time.Now()
-		ans, hit, leader, fl := cache.lookup(key)
-		switch {
-		case hit:
-			resp = InferResponse{Model: name, Pred: ans.pred, Preds: ans.preds, Probs: ans.probs}
-			e.stats.CacheHits.Inc()
-			e.winCache(true)
-			e.stats.InferRequests.Inc()
-			e.stats.cacheHit.ObserveDuration(time.Since(hitStart))
-		case leader:
-			e.stats.CacheMisses.Inc()
-			e.winCache(false)
-			completed := false
-			defer func() {
-				// Release followers even if the forward panics; they fall
-				// back to computing themselves.
-				if !completed {
-					cache.abort(key, fl)
-				}
-			}()
-			resp = computeInfer(name, e, t, &tr)
-			cache.complete(key, fl, cachedAnswer{pred: resp.Pred, preds: resp.Preds, probs: resp.Probs})
-			completed = true
-		default:
-			// An identical frame is being computed right now: wait for the
-			// leader's answer instead of duplicating the forward.
-			<-fl.done
-			if fl.ok {
-				resp = InferResponse{Model: name, Pred: fl.ans.pred, Preds: fl.ans.preds, Probs: fl.ans.probs}
-				e.stats.CacheHits.Inc()
-				e.winCache(true)
-				e.stats.InferRequests.Inc()
-				e.stats.cacheHit.ObserveDuration(time.Since(hitStart))
-			} else {
-				e.stats.CacheMisses.Inc()
-				e.winCache(false)
-				resp = computeInfer(name, e, t, &tr)
-			}
-		}
-	} else {
-		resp = computeInfer(name, e, t, &tr)
-	}
-	resp.Version = e.version
-	if c, cerr := collab.CodecByID(codecID); cerr == nil {
-		resp.Codec = c.Name()
-	}
-	if ctr := e.stats.codec[codecID]; ctr != nil {
-		ctr.Inc()
-	}
-	resp.PayloadBytes = body.n
-	resp.Stages = tr.echo()
-	resp.RequestID = info.id
-	if tel != nil {
-		agree := tel.BinaryPred == resp.Pred
-		resp.BinaryAgree = &agree
-		info.entropy = &tel.Entropy
-		info.binaryPred = &tel.BinaryPred
-		info.agree = &agree
-	}
-	if e.ctrl != nil {
-		// The controller ingests this request's telemetry and the updated
-		// tau rides back in the response — before encoding, unlike the
-		// §11 decision counters, which keep their post-write success-only
-		// discipline. Cache hits feed the controller too: a hit is still a
-		// served decision sample.
-		if tau, ok := e.ctrl.observe(tel, t.Dim(0), resp.Pred); ok {
-			resp.Tau = &tau
-			if e.cache != nil {
-				// Tau-push invalidation: the threshold the answers were
-				// computed under just moved (anscache.go, coherence note).
-				e.cache.noteTau(tau)
-			}
-		}
-	}
-	info.codec = resp.Codec
-	info.payloadBytes = body.n
-	info.samples = t.Dim(0)
-	info.pred = &resp.Pred
-
-	// Encode and write are traced separately from the JSON helper so the
-	// exposition can attribute marshalling vs. wire time.
-	encodeStart := time.Now()
-	var buf bytes.Buffer
-	encodeErr := json.NewEncoder(&buf).Encode(resp)
-	tr.stages[stageEncode] = time.Since(encodeStart)
-	if encodeErr != nil {
-		e.stats.InferErrors.Inc()
-		e.observeWin(inferStart, true)
-		http.Error(w, encodeErr.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(collab.ModelVersionHeader, e.version)
-	writeStart := time.Now()
-	_, writeErr := w.Write(buf.Bytes())
-	tr.stages[stageWrite] = time.Since(writeStart)
-	// A failed response write is the client's disconnect, not a serving
-	// error; the stage histograms still record the attempt.
-	_ = writeErr
-	tr.observeInto(e.stats)
-	info.traceEnrich(&tr)
-	// Decision telemetry follows the stage discipline: observed only on
-	// success, so the offload sample count reconciles with stage counts.
-	e.stats.decision.observe(t.Dim(0), tel, resp.Pred)
-	// Windowed SLO aggregation mirrors the same discipline into this
-	// version's trailing windows: latency and error rate from the request
-	// outcome, exit rate and agreement from the telemetry the decision
-	// counters just consumed.
-	e.observeWin(inferStart, false)
-	if w := e.win; w != nil {
-		var local int64
-		if tel != nil {
-			local = int64(tel.LocalExits)
-		}
-		w.ObserveExits(local, int64(t.Dim(0)))
-		if tel != nil {
-			w.ObserveAgreement(tel.BinaryPred == resp.Pred)
-		}
-	}
-}
-
-// observeWin records one request outcome in this version's SLO windows;
-// a no-op without WithSLO.
-func (e *entry) observeWin(start time.Time, failed bool) {
-	if e.win != nil {
-		e.win.ObserveInfer(time.Since(start), failed)
-	}
-}
-
-// winCache mirrors one answer-cache lookup into the SLO windows.
-func (e *entry) winCache(hit bool) {
-	if e.win != nil {
-		e.win.ObserveCache(hit)
-	}
-}
-
 // statusRecorder captures the response status for request logging.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -806,88 +578,6 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// maxInferBatch bounds a single request's batch so one client cannot pin
-// an inference replica arbitrarily long.
-const maxInferBatch = 256
-
-// normalizeIntermediate validates a decoded offload tensor against the
-// model's shared-prefix output shape and returns it as an explicit batch:
-// a single CHW sample gains a leading batch dimension of 1.
-func normalizeIntermediate(e *entry, t *tensor.Tensor) (*tensor.Tensor, error) {
-	want := e.model.SharedOutShape()
-	shapeOK := true
-	switch {
-	case t.Rank() == len(want):
-		t = t.Reshape(append([]int{1}, t.Shape...)...)
-	case t.Rank() == len(want)+1 && t.Dim(0) >= 1 && t.Dim(0) <= maxInferBatch:
-		// already batched
-	default:
-		shapeOK = false
-	}
-	if shapeOK {
-		for i, d := range want {
-			if t.Dim(i+1) != d {
-				shapeOK = false
-				break
-			}
-		}
-	}
-	if !shapeOK {
-		return nil, fmt.Errorf("edge: tensor shape %v does not match intermediate shape %v (batch <= %d)",
-			t.Shape, want, maxInferBatch)
-	}
-	return t, nil
-}
-
-// computeInfer is the compute path of handleInfer: micro-batched when the
-// server has batching enabled and the request's own batch leaves room for
-// coalescing, a direct replica forward otherwise. A request whose own
-// batch already fills the cap gains nothing from coalescing (and would
-// only add queueing delay), so it goes straight to a replica; so does
-// everything when batching is off or the batcher is shutting down.
-func computeInfer(name string, e *entry, t *tensor.Tensor, tr *trace) InferResponse {
-	if b := e.batcher; b != nil && t.Dim(0) < b.max {
-		if resp, ok := b.infer(name, t, tr); ok {
-			return resp
-		}
-	}
-	return inferOn(name, e, t, tr)
-}
-
-// inferOn runs the main-branch rest on a normalized intermediate batch,
-// on a forward context checked out of the entry's replica pool, recording
-// the replica wait and forward time in tr. Only the first sample's
-// softmax is materialized — the response carries one probability vector,
-// so computing the whole batch's rows was wasted work (per-sample
-// probabilities can ride in a ProbsBatch field if a caller ever needs
-// them).
-func inferOn(name string, e *entry, t *tensor.Tensor, tr *trace) InferResponse {
-	queueStart := time.Now()
-	m := e.checkout()
-	tr.stages[stageQueue] = time.Since(queueStart)
-	start := time.Now()
-	m.ResetScratch()
-	logits := m.ForwardMainRest(t, false)
-	elapsed := time.Since(start)
-	// logits live in the replica's arena: everything the response needs
-	// must be extracted before the replica returns to the pool, where the
-	// next request's ResetScratch recycles the storage.
-	probs := make([]float32, logits.Dim(1))
-	tensor.SoftmaxRow(probs, logits.Row(0))
-	preds := argmaxRows(logits, 0, logits.Dim(0))
-	e.checkin(m)
-	tr.stages[stageForward] = elapsed
-	e.stats.InferRequests.Inc()
-	e.stats.ComputeMicros.Add(elapsed.Microseconds())
-	return InferResponse{
-		Model:        name,
-		Pred:         preds[0],
-		Preds:        preds,
-		Probs:        probs,
-		ServerMicros: elapsed.Microseconds(),
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

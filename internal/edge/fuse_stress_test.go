@@ -11,20 +11,16 @@ import (
 	"testing"
 
 	"lcrs/internal/collab"
-	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
 
-// Concurrent batched inference on the fused/arena serving path must return
-// probabilities bitwise identical to the legacy (unfused, heap-allocating)
-// kernels: encoding/json round-trips float32 exactly, so the comparison
+// Concurrent batched inference on the arena serving path must return
+// probabilities bitwise identical to a plain heap-allocating clone's
+// forward: encoding/json round-trips float32 exactly, so the comparison
 // holds through the full HTTP path. Run under -race this also shakes out
 // data races between replicas sharing weights, the batcher's scatter loop,
 // and arena recycling.
 func TestInferFusedBitwiseMatchesLegacyUnderLoad(t *testing.T) {
-	if !nn.FusedConvEnabled() {
-		t.Skip("fusion disabled (nofuse build or LCRS_NOFUSE)")
-	}
 	s := newServer(t, WithBatching(4, 0), WithReplicas(2))
 	m := testModel(t)
 	if _, err := s.Register("lenet-mnist", m); err != nil {
@@ -34,30 +30,27 @@ func TestInferFusedBitwiseMatchesLegacyUnderLoad(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Reference probabilities from the legacy path, computed before any
-	// traffic so the global fuse toggle never flips under the server.
+	// Reference probabilities from a plain (non-arena) clone.
+	ref := m.CloneForInference()
 	g := tensor.NewRNG(29)
 	const jobs = 24
 	type job struct {
 		frame []byte
 		want  []float32
 	}
-	prev := nn.SetFusedConv(false)
 	js := make([]job, jobs)
 	for i := range js {
 		x := g.Uniform(-1, 1, 1, 1, 28, 28)
 		shared := m.ForwardShared(x, false)
 		var buf bytes.Buffer
 		if err := collab.WriteTensor(&buf, shared); err != nil {
-			nn.SetFusedConv(prev)
 			t.Fatal(err)
 		}
-		logits := m.ForwardMainRest(shared, false)
+		logits := ref.ForwardMainRest(shared, false)
 		probs := make([]float32, logits.Dim(1))
 		tensor.SoftmaxRow(probs, logits.Row(0))
 		js[i] = job{frame: buf.Bytes(), want: probs}
 	}
-	nn.SetFusedConv(prev)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, jobs)
@@ -87,7 +80,7 @@ func TestInferFusedBitwiseMatchesLegacyUnderLoad(t *testing.T) {
 			}
 			for k := range j.want {
 				if math.Float32bits(ir.Probs[k]) != math.Float32bits(j.want[k]) {
-					errs <- fmt.Errorf("job %d: prob %d = %x, legacy %x", id, k,
+					errs <- fmt.Errorf("job %d: prob %d = %x, reference %x", id, k,
 						math.Float32bits(ir.Probs[k]), math.Float32bits(j.want[k]))
 					return
 				}

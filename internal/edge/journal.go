@@ -89,26 +89,12 @@ func (j *journal) snapshot() []JournalEntry {
 }
 
 // reqInfo is the per-request record the traced middleware allocates and
-// handleInfer enriches through the request context.
+// hands down through the request context: the journal entry it writes once
+// the handler returns and, on /v1/infer, the outcome handleInfer fills
+// (observe completes the entry's inference fields from it).
 type reqInfo struct {
-	id           string
-	model        string
-	version      string
-	codec        string
-	payloadBytes int64
-	samples      int
-	pred         *int
-	entropy      *float64
-	binaryPred   *int
-	agree        *bool
-	// Trace propagation: traceID resolves from the X-LCRS-Trace parent
-	// (falling back to the request ID), clientLocal/clientEncode are the
-	// client-side stage micros the header carried, and spans is the
-	// finished waterfall handleInfer builds on success.
-	traceID      string
-	clientLocal  int64
-	clientEncode int64
-	spans        []Span
+	entry JournalEntry
+	out   inferOutcome
 }
 
 type ctxKey int
@@ -143,56 +129,48 @@ func (s *Server) traced(h http.Handler) http.Handler {
 		if id == "" {
 			id = collab.NewRequestID()
 		}
-		info := &reqInfo{id: id}
+		// The request ID doubles as the trace ID so every journaled request
+		// is trace-addressable, header or not.
+		info := &reqInfo{entry: JournalEntry{ID: id, TraceID: id}}
 		if tp, ok := collab.ParseTrace(r.Header.Get(collab.TraceHeader)); ok {
-			info.traceID = tp.ID
-			info.clientLocal = tp.LocalMicros
-			info.clientEncode = tp.EncodeMicros
-		}
-		if info.traceID == "" {
-			// The request ID doubles as the trace ID so every journaled
-			// request is trace-addressable, header or not.
-			info.traceID = id
+			if tp.ID != "" {
+				info.entry.TraceID = tp.ID
+			}
+			info.out.clientLocal, info.out.clientEncode = tp.LocalMicros, tp.EncodeMicros
 		}
 		w.Header().Set(collab.RequestIDHeader, id)
-		w.Header().Set(collab.TraceHeader, info.traceID)
+		w.Header().Set(collab.TraceHeader, info.entry.TraceID)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h.ServeHTTP(rec, r.WithContext(context.WithValue(r.Context(), reqInfoKey, info)))
-		dur := time.Since(start)
+		j := &info.entry
+		j.Time, j.Method, j.Path = start.UTC(), r.Method, r.URL.Path
+		j.Status, j.DurationMicros = rec.status, time.Since(start).Microseconds()
 
 		if s.logger != nil {
 			attrs := make([]any, 0, 16)
 			attrs = append(attrs,
 				"id", id, "method", r.Method, "path", r.URL.Path,
-				"status", rec.status, "dur_micros", dur.Microseconds())
-			if info.model != "" {
-				attrs = append(attrs, "model", info.model)
+				"status", j.Status, "dur_micros", j.DurationMicros)
+			if j.Model != "" {
+				attrs = append(attrs, "model", j.Model)
 			}
-			if info.codec != "" {
-				attrs = append(attrs, "codec", info.codec)
+			if j.Codec != "" {
+				attrs = append(attrs, "codec", j.Codec)
 			}
-			if info.pred != nil {
-				attrs = append(attrs, "pred", *info.pred)
+			if j.Pred != nil {
+				attrs = append(attrs, "pred", *j.Pred)
 			}
-			if info.entropy != nil {
-				attrs = append(attrs, "entropy", *info.entropy)
+			if j.Entropy != nil {
+				attrs = append(attrs, "entropy", *j.Entropy)
 			}
-			if info.agree != nil {
-				attrs = append(attrs, "agree", *info.agree)
+			if j.Agree != nil {
+				attrs = append(attrs, "agree", *j.Agree)
 			}
 			s.logger.Info("request", attrs...)
 		}
 		if s.journal != nil && !journalSkip(r.URL.Path) {
-			s.journal.add(JournalEntry{
-				ID: id, Time: start.UTC(), Method: r.Method, Path: r.URL.Path,
-				Status: rec.status, DurationMicros: dur.Microseconds(),
-				Model: info.model, Version: info.version, Codec: info.codec,
-				PayloadBytes: info.payloadBytes, Samples: info.samples,
-				Pred: info.pred, Entropy: info.entropy,
-				BinaryPred: info.binaryPred, Agree: info.agree,
-				TraceID: info.traceID, Spans: info.spans,
-			})
+			s.journal.add(*j)
 		}
 	})
 }

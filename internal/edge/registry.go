@@ -297,12 +297,14 @@ func (s *Server) buildEntry(name string, st *staged) (*entry, error) {
 		pool <- r
 	}
 	e := &entry{
+		name:     name,
 		version:  st.version,
 		etag:     `"` + st.version + `"`,
 		model:    st.model,
 		bundle:   st.bundle,
 		pack:     st.pack,
 		replicas: pool,
+		maxBody:  maxInferBody(st.model),
 		stats:    newModelStats(s.metrics, name),
 	}
 	if tauCfg != nil {

@@ -97,9 +97,3 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "no journaled request with trace id "+id+
 		" (the journal is a bounded ring; old requests age out)", http.StatusNotFound)
 }
-
-// traceEnrich finalizes a successful inference's span timeline from the
-// stage trace; called once right after the stages are observed.
-func (info *reqInfo) traceEnrich(tr *trace) {
-	info.spans = buildSpans(info.clientLocal, info.clientEncode, tr)
-}

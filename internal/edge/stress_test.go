@@ -111,7 +111,7 @@ func TestReplicaPoolBounded(t *testing.T) {
 	if got := cap(e.replicas); got != 2 {
 		t.Fatalf("pool capacity = %d, want 2", got)
 	}
-	a, b := e.checkout(), e.checkout()
+	a, b := <-e.replicas, <-e.replicas
 	if a == m || b == m || a == b {
 		t.Fatal("replicas must be distinct clones of the registered model")
 	}
@@ -120,8 +120,8 @@ func TestReplicaPoolBounded(t *testing.T) {
 		t.Fatal("empty pool must not yield a third context")
 	default:
 	}
-	e.checkin(a)
-	e.checkin(b)
+	e.replicas <- a
+	e.replicas <- b
 	if got := len(e.replicas); got != 2 {
 		t.Fatalf("pool has %d contexts after checkin, want 2", got)
 	}

@@ -54,9 +54,7 @@ type trace struct {
 	stages [numStages]time.Duration
 }
 
-// echo returns the server-side stage breakdown a client can use before
-// the response is encoded; encode and write are necessarily absent (they
-// happen after the echo is serialized) and appear only in /metrics.
+// echo returns the stage breakdown a response carries (see StageMicros).
 func (tr *trace) echo() *StageMicros {
 	return &StageMicros{
 		Read:      tr.stages[stageRead].Microseconds(),
@@ -77,15 +75,6 @@ type StageMicros struct {
 	Queue     int64 `json:"queue_micros"`
 	BatchWait int64 `json:"batch_wait_micros,omitempty"`
 	Forward   int64 `json:"forward_micros"`
-}
-
-// observeInto records every stage into the model's histograms. Called
-// once per successful inference; error paths skip it, so stage counts
-// equal InferRequests - InferErrors.
-func (tr *trace) observeInto(st *modelStats) {
-	for i := range tr.stages {
-		st.stage[i].ObserveDuration(tr.stages[i])
-	}
 }
 
 // timingReader counts bytes and wall-clock time spent in Read calls, so

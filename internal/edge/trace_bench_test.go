@@ -58,42 +58,35 @@ func BenchmarkTracedInfer(b *testing.B) {
 }
 
 // traceCost measures one request's worth of observability work: the seven
-// time.Now pairs the handler adds, the per-stage histogram observes, the
-// decision-telemetry observes (two histograms, four counters), one tau
-// controller observation (a mutex-guarded windowed accumulate, the
-// steady-state cost of WithTauControl), the SLO window maintenance a
-// WithSLO server charges (one windowed latency observe plus four counter
-// adds, all epoch-checked atomics), the span-timeline build, and one
-// journal ring write — everything the telemetry, control and SLO layers
-// charge a request.
+// time.Now pairs the handler adds, one tau controller observation (a
+// mutex-guarded windowed accumulate, the steady-state cost of
+// WithTauControl), the serving observe itself — counters, per-stage
+// histogram observes, decision telemetry, the SLO window maintenance a
+// WithSLO server charges and the span-timeline build — and one journal
+// ring write: everything the telemetry, control and SLO layers charge a
+// request.
 func traceCost(iters int, st *modelStats, tc *tauControl, win *slo.Target, j *journal) time.Duration {
+	e := &entry{name: "bench", version: "v-bench", stats: st, win: win}
 	tel := &collab.Telemetry{Entropy: 0.6, Tau: 0.3, BinaryPred: 3, LocalExits: 1}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		var tr trace
+		info := &reqInfo{entry: JournalEntry{ID: "bench-0123456789ab", TraceID: "bench-0123456789ab",
+			Method: "POST", Path: "/v1/infer/bench", Status: 200}}
+		o := &info.out
+		o.journal, o.start, o.status = &info.entry, time.Now(), 200
+		o.samples, o.payload, o.tel, o.cache = 1, 1024, tel, cacheMiss
+		o.ans.pred, o.agree = 3, true
+		o.clientLocal, o.clientEncode = 1200, 40
 		for s := 0; s < numStages; s++ {
 			t0 := time.Now()
-			tr.stages[s] = time.Since(t0)
+			o.tr.stages[s] = time.Since(t0)
 		}
-		tr.observeInto(st)
 		if tc != nil {
 			tc.observe(tel, 1, 3)
 		}
-		st.decision.observe(1, tel, 3)
-		if win != nil {
-			win.ObserveInfer(150*time.Microsecond, false)
-			win.ObserveExits(1, 1)
-			win.ObserveAgreement(true)
-			win.ObserveCache(false)
-		}
-		spans := buildSpans(1200, 40, &tr)
+		e.observe(o)
 		if j != nil {
-			pred := 3
-			j.add(JournalEntry{ID: "bench-0123456789ab", Method: "POST",
-				Path: "/v1/infer/bench", Status: 200, Model: "bench",
-				Codec: "raw", Samples: 1, Pred: &pred,
-				Entropy: &tel.Entropy, BinaryPred: &tel.BinaryPred,
-				TraceID: "bench-0123456789ab", Spans: spans})
+			j.add(info.entry)
 		}
 	}
 	return time.Since(start)

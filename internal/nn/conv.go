@@ -19,26 +19,20 @@ type Conv2D struct {
 	Bias    *Param // (OutC)
 	UseBias bool
 
-	// caches from the last training forward pass
+	// caches from the last training forward pass; lastCols (the im2col
+	// matrix per batch element, concatenated) must survive until Backward.
 	lastInput *tensor.Tensor
-	lastCols  []float32 // im2col matrix per batch element, concatenated
+	lastCols  []float32
 	lastGeom  tensor.ConvGeom
 
-	// scratch is reused across inference forward passes to keep the
-	// im2col buffer off the garbage collector's back; training passes
-	// reuse lastCols instead, which must survive until Backward. Layers
-	// are therefore not safe for concurrent Forward calls; callers that
-	// share a model across goroutines must either serialize or run each
-	// goroutine on its own CloneForInference copy (the edge server's
-	// replica pool does the latter). The fused inference path never
-	// materializes the cols matrix, so scratch stays empty there; it only
-	// grows on the legacy (train or nofuse) path.
-	scratch []float32
-
-	// Fused-path state: panel is the K x convNC pack buffer (persistent
-	// here, or carved from arena when one is installed), st the reusable
-	// fused-GEMM driver, arena the serving replica's scratch arena (nil
-	// outside CloneForServing replicas).
+	// Eval-path state, reused across forwards: panel is the K x convNC
+	// pack buffer (persistent here, or carved from arena when one is
+	// installed), st the reusable fused-GEMM state, arena the serving
+	// replica's scratch arena (nil outside CloneForServing replicas).
+	// Layers are therefore not safe for concurrent Forward calls; callers
+	// that share a model across goroutines must either serialize or run
+	// each goroutine on its own CloneForInference copy (the edge server's
+	// replica pool does the latter).
 	panel []float32
 	st    tensor.ConvGemmState
 	arena *tensor.Arena
@@ -57,21 +51,6 @@ func (c *Conv2D) CloneForInference() Layer {
 		Stride: c.Stride, Pad: c.Pad,
 		Weight: c.Weight, Bias: c.Bias, UseBias: c.UseBias,
 	}
-}
-
-// colsBuffer returns an n-length buffer: the training cache when train is
-// set (it must survive until Backward), the inference scratch otherwise.
-func (c *Conv2D) colsBuffer(n int, train bool) []float32 {
-	if train {
-		if cap(c.lastCols) < n {
-			c.lastCols = make([]float32, n)
-		}
-		return c.lastCols[:n]
-	}
-	if cap(c.scratch) < n {
-		c.scratch = make([]float32, n)
-	}
-	return c.scratch[:n]
 }
 
 // NewConv2D constructs a convolution layer with Kaiming-initialized
@@ -141,14 +120,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p := outH * outW
 	k := c.InC * c.KH * c.KW
 
-	if !train && FusedConvEnabled() {
+	if !train {
 		return c.forwardFused(x, g, n, p, k, outH, outW)
 	}
 
+	// Training materializes the cols matrix: Backward needs it.
 	out := tensor.New(n, c.OutC, outH, outW)
 	wd := c.Weight.Value.Data // (OutC, K) row-major
 
-	colsAll := c.colsBuffer(n*p*k, train)
+	if cap(c.lastCols) < n*p*k {
+		c.lastCols = make([]float32, n*p*k)
+	}
+	colsAll := c.lastCols[:n*p*k]
 	// Unfold every sample in parallel: chunk i writes only its own
 	// colsAll region.
 	tensor.ParallelFor(n, func(lo, hi int) {
@@ -180,19 +163,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	})
-	if train {
-		c.lastInput = x
-		c.lastCols = colsAll
-		c.lastGeom = g
-	}
+	c.lastInput, c.lastCols, c.lastGeom = x, colsAll, g
 	return out
 }
 
 // forwardFused is the eval-mode convolution: im2col panels are packed and
 // consumed tile-by-tile (tensor.ConvGemmState), so the full cols matrix is
 // never materialized. Per output element the accumulation is the same
-// single ascending-k chain plus one bias add as the legacy kernel above,
-// so fused and legacy outputs are bitwise identical (conv_fuse_test.go).
+// single ascending-k chain plus one bias add as the training kernel above,
+// so eval and training outputs are bitwise identical (conv_fuse_test.go).
 // With an arena installed the pass performs no heap allocations at steady
 // state; samples are sliced from x.Data directly (x.Batch would allocate a
 // header per sample).

@@ -22,17 +22,17 @@ var fuseGeoms = []struct {
 }
 
 // The fused eval convolution must be bitwise identical to the legacy
-// im2col+GEMM path at every geometry and worker count: both accumulate each
-// output element as one ascending-k chain plus a single bias add.
+// materialized im2col+GEMM kernel — the layer's own training forward, which
+// has no stochastic step — at every geometry and worker count: both
+// accumulate each output element as one ascending-k chain plus a single
+// bias add.
 func TestConv2DFusedMatchesLegacyBitwise(t *testing.T) {
 	for _, sh := range fuseGeoms {
 		g := tensor.NewRNG(int64(sh.outC)*31 + int64(sh.h))
 		c := NewConv2D("c", g, sh.inC, sh.outC, sh.k, sh.k, sh.stride, sh.pad)
 		x := g.Uniform(-2, 2, sh.n, sh.inC, sh.h, sh.w)
 
-		prevFuse := SetFusedConv(false)
-		legacy := c.Forward(x, false)
-		SetFusedConv(true)
+		legacy := c.Forward(x, true)
 		for _, workers := range []int{1, 8} {
 			prevW := tensor.SetMaxWorkers(workers)
 			fused := c.Forward(x, false)
@@ -48,7 +48,6 @@ func TestConv2DFusedMatchesLegacyBitwise(t *testing.T) {
 				}
 			}
 		}
-		SetFusedConv(prevFuse)
 	}
 }
 
@@ -91,50 +90,25 @@ func TestConv2DTrainBuffersNotAliasedByClones(t *testing.T) {
 	}
 	snapshot := append([]float32(nil), c.lastCols...)
 
-	// Serve eval traffic from a clone on both paths; neither may touch the
-	// original's training cache.
+	// Serve eval traffic from a clone; it may not touch the original's
+	// training cache, and never grows one of its own.
 	clone := CloneForInference(c).(*Conv2D)
-	clone.Forward(x, false) // fused
-	prev := SetFusedConv(false)
-	clone.Forward(x, false) // legacy scratch path
-	SetFusedConv(prev)
-
+	clone.Forward(x, false)
 	if len(clone.lastCols) != 0 {
 		t.Fatal("eval forwards must not populate the clone's training cache")
 	}
-	if len(clone.scratch) != 0 && len(c.lastCols) != 0 && &clone.scratch[0] == &c.lastCols[0] {
-		t.Fatal("clone scratch must not alias the original's training cache")
+	// A training forward on the clone grows its own cache.
+	clone.Forward(x, true)
+	if &clone.lastCols[0] == &c.lastCols[0] {
+		t.Fatal("clone training cache must not alias the original's")
 	}
 	for i, v := range snapshot {
 		if math.Float32bits(v) != math.Float32bits(c.lastCols[i]) {
-			t.Fatalf("clone eval forward corrupted original lastCols at %d", i)
+			t.Fatalf("clone forward corrupted original lastCols at %d", i)
 		}
 	}
 
 	// The original's Backward still works off the intact cache.
 	dout := g.Uniform(-1, 1, 2, 6, 10, 10)
 	c.Backward(dout)
-}
-
-// SetFusedConv must report the previous value and actually switch paths:
-// with fusion off, eval forwards grow the legacy cols scratch.
-func TestSetFusedConvToggle(t *testing.T) {
-	prev := SetFusedConv(false)
-	defer SetFusedConv(prev)
-	if FusedConvEnabled() {
-		t.Fatal("SetFusedConv(false) must disable fusion")
-	}
-	g := tensor.NewRNG(3)
-	c := NewConv2D("c", g, 2, 4, 3, 3, 1, 1)
-	x := g.Uniform(-1, 1, 1, 2, 8, 8)
-	c.Forward(x, false)
-	if len(c.scratch) == 0 {
-		t.Fatal("legacy eval path must use cols scratch")
-	}
-	if on := SetFusedConv(true); on {
-		t.Fatal("SetFusedConv must return the previous state (false)")
-	}
-	if !FusedConvEnabled() {
-		t.Fatal("SetFusedConv(true) must re-enable fusion")
-	}
 }

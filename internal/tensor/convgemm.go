@@ -1,8 +1,8 @@
 package tensor
 
-// Fused im2col + GEMM convolution forward. The legacy conv path
-// materializes the full (outH*outW) x (C*KH*KW) im2col matrix — the
-// single largest allocation in the serving hot path — before multiplying.
+// Fused im2col + GEMM convolution forward. The training conv path
+// materializes the full (outH*outW) x (C*KH*KW) im2col matrix (Backward
+// needs it) before multiplying; eval convolutions never do.
 // Here the receptive fields are packed straight into a K x convNC sliver
 // panel (ConvGeom.PackColsPanel), the microkernel consumes the panel, and
 // the panel is reused for the next convNC output positions: only one
@@ -11,9 +11,9 @@ package tensor
 // Determinism contract: unlike the blocked MatMul (which re-associates
 // across KC blocks), the fused path keeps a SINGLE full-K ascending
 // accumulation chain per output element followed by one bias add — exactly
-// the order the legacy conv kernel uses — so fused output is bitwise
-// identical to the legacy path (and therefore to `-tags nofuse` builds),
-// pinned by the fuse tests in internal/nn and internal/binary. Parallelism
+// the order the training conv kernel uses — so fused output is bitwise
+// identical to a training forward of the same layer, pinned by the fuse
+// tests in internal/nn and internal/binary. Parallelism
 // is over gemmMR-row output-channel strips only, so worker count and chunk
 // boundaries cannot change any element's chain.
 
