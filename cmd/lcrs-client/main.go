@@ -33,7 +33,6 @@ func main() {
 		seed   = flag.Int64("seed", 0, "sample generation seed; 0 reuses the checkpoint's seed (the synthetic class prototypes are seed-defined, so a different seed is a different task)")
 		tau    = flag.Float64("tau", -1, "override exit threshold (default: from checkpoint header)")
 		codec  = flag.String("codec", "raw", "preferred offload wire codec (raw, f16, q8..q2); negotiated with the server, falls back to raw")
-		noTel  = flag.Bool("no-telemetry", false, "omit the decision-telemetry block from offload frames (old-client wire format)")
 		pinTau = flag.Bool("pin-tau", false, "ignore tau updates pushed by the edge's controller, keeping the starting threshold for the whole session")
 		cache  = flag.Int("session-cache", 0, "session recognition cache capacity: identical offload payloads are answered locally from the last edge answer (0 disables)")
 		revaln = flag.Int("revalidate-every", 0, "offload every Nth recognition of a cached frame anyway to refresh its answer (0 never revalidates; needs -session-cache)")
@@ -76,7 +75,6 @@ func main() {
 
 	ctx := context.Background()
 	copts := []webclient.Option{
-		webclient.WithTelemetry(!*noTel),
 		webclient.WithTauUpdates(!*pinTau),
 	}
 	if *cache > 0 {

@@ -211,7 +211,7 @@ func TestQ8CompositeTop1Stable(t *testing.T) {
 
 	match := 0
 	for i := 0; i < n; i++ {
-		if argmaxRow(rawLogits.Row(i)) == argmaxRow(q8Logits.Row(i)) {
+		if tensor.ArgmaxRow(rawLogits.Row(i)) == tensor.ArgmaxRow(q8Logits.Row(i)) {
 			match++
 		}
 	}

@@ -130,7 +130,7 @@ func (rt *Runtime) Infer(x *tensor.Tensor) Record {
 
 	if exitpolicy.ShouldExit(entropy, rt.Tau) {
 		rec.Exited = true
-		rec.Pred = argmaxRow(binLogits.Row(0))
+		rec.Pred = tensor.ArgmaxRow(binLogits.Row(0))
 		return rec
 	}
 	// Ship the shared-prefix output to the edge and run the main rest.
@@ -140,7 +140,7 @@ func (rt *Runtime) Infer(x *tensor.Tensor) Record {
 	rec.MeasuredServer = time.Since(serverStart)
 	rec.ServerCompute = rt.Cost.Server.ComputeTime(ref.MainRest.FLOPs(ref.SharedOutShape()))
 	rec.Downlink = rt.Cost.Link.SampleDownTime(resultBytes)
-	rec.Pred = argmaxRow(mainLogits.Row(0))
+	rec.Pred = tensor.ArgmaxRow(mainLogits.Row(0))
 	return rec
 }
 
@@ -250,14 +250,4 @@ func (rt *Runtime) RunSession(ds *dataset.Dataset, n int) (SessionStats, error) 
 	st.AvgMeasuredClient = totalMC / time.Duration(n)
 	st.AvgMeasuredServer = totalMS / time.Duration(n)
 	return st, nil
-}
-
-func argmaxRow(row []float32) int {
-	best, bi := row[0], 0
-	for j, v := range row[1:] {
-		if v > best {
-			best, bi = v, j+1
-		}
-	}
-	return bi
 }

@@ -347,14 +347,7 @@ func (e *entry) forward(t *tensor.Tensor, batch []*batchRequest) {
 func argmaxRows(logits *tensor.Tensor, lo, hi int) []int {
 	preds := make([]int, hi-lo)
 	for i := lo; i < hi; i++ {
-		row := logits.Row(i)
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, bi = v, j+1
-			}
-		}
-		preds[i-lo] = bi
+		preds[i-lo] = tensor.ArgmaxRow(logits.Row(i))
 	}
 	return preds
 }

@@ -46,19 +46,9 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	n := logits.Dim(0)
 	correct := 0
 	for i := 0; i < n; i++ {
-		if argmaxRow(logits.Row(i)) == labels[i] {
+		if tensor.ArgmaxRow(logits.Row(i)) == labels[i] {
 			correct++
 		}
 	}
 	return float64(correct) / float64(n)
-}
-
-func argmaxRow(row []float32) int {
-	best, bi := row[0], 0
-	for j, v := range row[1:] {
-		if v > best {
-			best, bi = v, j+1
-		}
-	}
-	return bi
 }

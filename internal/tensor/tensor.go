@@ -236,10 +236,19 @@ func (t *Tensor) L2Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Argmax returns the index of the largest element in the flattened tensor.
-func (t *Tensor) Argmax() int {
-	best, bi := t.Data[0], 0
-	for i, v := range t.Data[1:] {
+// Argmax returns the index of the largest element in the flattened tensor,
+// by ArgmaxRow's rule.
+func (t *Tensor) Argmax() int { return ArgmaxRow(t.Data) }
+
+// ArgmaxRow returns the index of the first strict maximum of row: an element
+// wins only by comparing greater than every one before it, so a tie keeps
+// the earliest index, −0 and +0 tie, a NaN never wins (a leading NaN is
+// never displaced either) and an all −Inf row answers 0. This is the one
+// top-1 rule of the repository: the client's binary answer and the edge's
+// main answer are compared for agreement, so both must break ties alike.
+func ArgmaxRow(row []float32) int {
+	best, bi := row[0], 0
+	for i, v := range row[1:] {
 		if v > best {
 			best, bi = v, i+1
 		}

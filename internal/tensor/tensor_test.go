@@ -228,6 +228,37 @@ func TestReductions(t *testing.T) {
 	}
 }
 
+// ArgmaxRow's first-strict-max rule, pinned where float comparison is
+// subtle: the client's and the edge's top-1 must break these cases alike.
+func TestArgmaxRowTies(t *testing.T) {
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	cases := []struct {
+		name string
+		row  []float32
+		want int
+	}{
+		{"single", []float32{-7}, 0},
+		{"tie keeps the first", []float32{1, 3, 2, 3}, 1},
+		{"leading NaN is never displaced", []float32{nan, 5, inf}, 0},
+		{"NaN never wins", []float32{1, nan, 0.5}, 0},
+		{"NaN skipped", []float32{1, nan, 2}, 2},
+		{"-0 then +0 tie", []float32{negZero, 0}, 0},
+		{"+0 then -0 tie", []float32{0, negZero}, 0},
+		{"all -Inf", []float32{-inf, -inf, -inf}, 0},
+		{"-Inf then finite", []float32{-inf, -1e30}, 1},
+	}
+	for _, c := range cases {
+		if got := ArgmaxRow(c.row); got != c.want {
+			t.Errorf("%s: ArgmaxRow(%v) = %d, want %d", c.name, c.row, got, c.want)
+		}
+		if got := FromSlice(c.row, len(c.row)).Argmax(); got != c.want {
+			t.Errorf("%s: Argmax = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestBatchSharesStorage(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b1 := x.Batch(1)

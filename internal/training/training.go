@@ -177,8 +177,8 @@ func EvaluateBranches(m *models.Composite, ds *dataset.Dataset, batchSize int) E
 		binLogits := m.ForwardBinary(shared, false)
 		binProbs := tensor.Softmax(binLogits)
 		for i := 0; i < b; i++ {
-			mc := argmax(mainLogits.Row(i)) == labels[i]
-			bc := argmax(binLogits.Row(i)) == labels[i]
+			mc := tensor.ArgmaxRow(mainLogits.Row(i)) == labels[i]
+			bc := tensor.ArgmaxRow(binLogits.Row(i)) == labels[i]
 			if mc {
 				mainRight++
 			}
@@ -193,14 +193,4 @@ func EvaluateBranches(m *models.Composite, ds *dataset.Dataset, batchSize int) E
 	ev.MainAcc = float64(mainRight) / float64(ds.Len())
 	ev.BinaryAcc = float64(binRight) / float64(ds.Len())
 	return ev
-}
-
-func argmax(row []float32) int {
-	best, bi := row[0], 0
-	for j, v := range row[1:] {
-		if v > best {
-			best, bi = v, j+1
-		}
-	}
-	return bi
 }

@@ -24,7 +24,7 @@ import (
 // refresh it.
 //
 // Concurrency: a Client runs one recognition at a time (see the Client
-// doc), and the cache is touched only inside Recognize, so it needs no
+// doc), and the cache is touched only inside a recognition, so it needs no
 // lock. The hit *count* crosses goroutines via the pendingCacheHits atomic
 // exactly like pendingExits.
 

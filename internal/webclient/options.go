@@ -52,18 +52,6 @@ func WithCodec(name string) Option {
 	}
 }
 
-// WithTelemetry controls whether offload requests carry the decision-
-// telemetry block (binary-branch entropy, tau, top-1, piggybacked local
-// exits) in a v3 frame. On by default — it is how the edge computes live
-// exit rates and binary-vs-main agreement (DESIGN.md §11); disable it to
-// emulate an old client or shave the fixed telemetry bytes per offload.
-func WithTelemetry(enabled bool) Option {
-	return func(c *Client) error {
-		c.noTelemetry = !enabled
-		return nil
-	}
-}
-
 // WithTauUpdates controls whether the client adopts exit thresholds the
 // edge pushes in infer responses (the output of the server-side tau
 // controller, edge.WithTauControl). On by default — the push is how the

@@ -50,15 +50,17 @@ func (s StageTimes) Network() time.Duration {
 	return 0
 }
 
-// mergeEcho fills the edge-side stages from a server echo; a nil echo
+// mergeEcho fills the edge-side stages from a server echo, as this
+// sample's share of a request that carried n samples; a nil echo
 // (pre-tracing server) leaves them zero.
-func (s *StageTimes) mergeEcho(sm *edge.StageMicros) {
+func (s *StageTimes) mergeEcho(sm *edge.StageMicros, n int) {
 	if sm == nil {
 		return
 	}
-	s.EdgeRead = time.Duration(sm.Read) * time.Microsecond
-	s.EdgeDecode = time.Duration(sm.Decode) * time.Microsecond
-	s.EdgeQueue = time.Duration(sm.Queue) * time.Microsecond
-	s.EdgeBatchWait = time.Duration(sm.BatchWait) * time.Microsecond
-	s.EdgeForward = time.Duration(sm.Forward) * time.Microsecond
+	share := time.Duration(n)
+	s.EdgeRead = time.Duration(sm.Read) * time.Microsecond / share
+	s.EdgeDecode = time.Duration(sm.Decode) * time.Microsecond / share
+	s.EdgeQueue = time.Duration(sm.Queue) * time.Microsecond / share
+	s.EdgeBatchWait = time.Duration(sm.BatchWait) * time.Microsecond / share
+	s.EdgeForward = time.Duration(sm.Forward) * time.Microsecond / share
 }

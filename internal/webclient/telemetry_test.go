@@ -151,42 +151,3 @@ func TestBatchTelemetry(t *testing.T) {
 		}
 	}
 }
-
-// WithTelemetry(false) reverts to plain v2/v1 frames: the edge serves
-// them but its agreement metrics do not move — the old-client posture.
-func TestTelemetryDisabled(t *testing.T) {
-	cfg := fixtureCfg
-	m, test := trainedFixture(t)
-	s, err := edge.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Register("lenet-mnist", m); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	c, err := New(srv.URL, WithHTTPClient(srv.Client()), WithTelemetry(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := c.LoadModel(ctx, "lenet-mnist", "lenet", cfg, 0); err != nil {
-		t.Fatal(err)
-	}
-	x, _ := test.Sample(0)
-	res, err := c.Recognize(ctx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exited || res.BinaryAgree != nil {
-		t.Fatalf("telemetry-less offload must not report agreement: %+v", res)
-	}
-	if res.RequestID == "" {
-		t.Fatal("request IDs are independent of telemetry")
-	}
-	es := s.ExitStats()[0]
-	if es.OffloadedSamples != 1 || es.TelemetryRequests != 0 || es.Agree+es.Disagree != 0 {
-		t.Fatalf("telemetry-less traffic moved agreement metrics: %+v", es)
-	}
-}

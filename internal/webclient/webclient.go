@@ -78,15 +78,12 @@ type Client struct {
 	// counts — and a tau controller's feedback — would stall exactly
 	// when the threshold is most wrong. See WithExitFlush.
 	flushEvery int
-	// noTelemetry suppresses the v3 decision-telemetry block on offload
-	// frames (WithTelemetry(false)), reverting to plain v2/v1 frames.
-	noTelemetry bool
 	// pendingExits counts local exits since the last successful offload;
 	// the next telemetry frame piggybacks (and resets) it, giving the edge
 	// a live exit rate without any extra requests.
 	pendingExits atomic.Int64
 	// cache is the session recognition cache (WithSessionCache); nil when
-	// disabled (the default). Touched only inside Recognize, which runs one
+	// disabled (the default). Touched only by recognitions, which run one
 	// at a time, so it needs no lock.
 	cache *sessionCache
 	// revalidateEvery bounds how many consecutive hits one cache entry may
@@ -98,11 +95,11 @@ type Client struct {
 	// pendingExits — and refunded the same way when the offload fails.
 	pendingCacheHits atomic.Int64
 
-	// FallbackToBinary makes Recognize degrade gracefully: when the edge
-	// server is unreachable (or errors), the binary branch's local answer
-	// is returned with Result.Degraded set instead of failing the scan.
-	// This is the behaviour a production Web AR page wants on a flaky
-	// 4G link.
+	// FallbackToBinary makes recognitions degrade gracefully: when the
+	// edge server is unreachable (or errors), the binary branch's local
+	// answer is returned with Result.Degraded set instead of failing the
+	// scan. This is the behaviour a production Web AR page wants on a
+	// flaky 4G link.
 	FallbackToBinary bool
 }
 
@@ -389,87 +386,137 @@ type Result struct {
 	BundleStale bool
 }
 
-// ErrVersionConflict is returned (wrapped) by Recognize when the client
-// pinned its bundle version (WithVersionPin) and the edge has hot-swapped
-// to a different one: the offload was rejected with 409 before any
-// forward ran. Recover with RevalidateBundle, then retry.
+// ErrVersionConflict is returned (wrapped) by Recognize and RecognizeBatch
+// when the client pinned its bundle version (WithVersionPin) and the edge
+// has hot-swapped to a different one: the offload was rejected with 409
+// before any forward ran. Recover with RevalidateBundle, then retry.
 var ErrVersionConflict = errors.New("webclient: model version conflict")
 
-// Recognize runs Algorithm 2 on one CHW sample.
+// Recognize runs Algorithm 2 on one CHW sample: a batch of one.
 func (c *Client) Recognize(ctx context.Context, x *tensor.Tensor) (Result, error) {
+	var out [1]Result
+	if err := c.recognize(ctx, x.Reshape(append([]int{1}, x.Shape...)...), out[:]); err != nil {
+		return Result{}, err
+	}
+	return out[0], nil
+}
+
+// RecognizeBatch runs Algorithm 2 over a batch of samples (NCHW), taking
+// every step Recognize takes, with one coalesced edge request for the
+// samples that neither exit nor hit the session cache — the batching a
+// real AR client does when it scans several detections per camera frame.
+func (c *Client) RecognizeBatch(ctx context.Context, xs *tensor.Tensor) ([]Result, error) {
+	if xs.Rank() != 4 {
+		return nil, fmt.Errorf("webclient: RecognizeBatch expects NCHW input, got %v", xs.Shape)
+	}
+	results := make([]Result, xs.Dim(0))
+	if err := c.recognize(ctx, xs, results); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// recognize is the browser half of Algorithm 2 over the NCHW batch xs,
+// writing sample i's outcome to out[i]. Each sample exits locally, is
+// answered from the session cache, or rides the call's one offload frame.
+// Costs the samples share — the local forward, the frame's encode, bytes
+// and round trip, the edge's echoed stages — are attributed evenly across
+// the samples that shared them; the trace parent carries them whole.
+func (c *Client) recognize(ctx context.Context, xs *tensor.Tensor, out []Result) error {
 	if c.model == nil {
-		return Result{}, fmt.Errorf("webclient: no model loaded")
+		return fmt.Errorf("webclient: no model loaded")
 	}
 	start := time.Now()
 	c.model.ResetScratch()
-	batch := x.Reshape(append([]int{1}, x.Shape...)...)
-	shared := c.model.ForwardShared(batch, false)
+	shared := c.model.ForwardShared(xs, false)
 	// The binary branch runs through the bit-packed XNOR executor — the
 	// code path the paper's WASM library accelerates in the browser.
 	logits := c.branch.Forward(shared)
 	probs := tensor.Softmax(logits)
-	entropy := exitpolicy.NormalizedEntropy(probs.Row(0))
-	binaryPred := logits.Argmax()
-	// One tau load per decision: the same value feeds the exit test and
-	// the telemetry frame, so a concurrent SetTau/controller push cannot
-	// mix thresholds within this recognition.
+	// One tau load per call: the same value feeds every exit test and the
+	// telemetry frame, so a concurrent SetTau/controller push cannot mix
+	// thresholds within this call.
 	tau := c.Tau()
-	res := Result{Entropy: entropy, Tau: tau, ClientTime: time.Since(start), BinaryPred: binaryPred}
-	res.Stages.Local = res.ClientTime
-
-	if exitpolicy.ShouldExit(entropy, tau) && !c.mustFlush() {
-		res.Exited = true
-		res.Pred = binaryPred
-		c.pendingExits.Add(1)
-		return res, nil
-	}
-
-	// Session cache: hash the payload this offload would carry and reuse
-	// the edge's previous answer for an identical frame. A hit due for
-	// revalidation falls through to a real offload, which refreshes the
-	// entry on success (cache.put) — or serves the cached answer anyway if
-	// the edge turns out to be unreachable.
-	var key collab.Key
-	keyed := false
+	// Session-cache keys of the samples that reach the cache.
+	var keys []collab.Key
 	if c.cache != nil {
-		if k, err := collab.TensorKey(c.wireCodec(), shared); err == nil {
-			key, keyed = k, true
-			if ent := c.cache.get(key); ent != nil {
+		keys = make([]collab.Key, len(out))
+	}
+	var pending []int
+	for i := range out {
+		r := &out[i]
+		*r = Result{Entropy: exitpolicy.NormalizedEntropy(probs.Row(i)), Tau: tau, BinaryPred: tensor.ArgmaxRow(logits.Row(i))}
+		if exitpolicy.ShouldExit(r.Entropy, tau) && !c.mustFlush() {
+			r.Exited, r.Pred = true, r.BinaryPred
+			c.pendingExits.Add(1)
+			continue
+		}
+		// Session cache: hash the payload this sample would carry and reuse
+		// the edge's previous answer for an identical frame. A hit due for
+		// revalidation stays pending for a real offload, which refreshes the
+		// entry on success (cache.put) — or serves the cached answer anyway
+		// if the edge turns out to be unreachable.
+		if keys != nil {
+			k, err := collab.TensorKey(c.wireCodec(), shared.Batch(i))
+			if err != nil {
+				return fmt.Errorf("webclient: encode intermediate: %w", err)
+			}
+			keys[i] = k
+			if ent := c.cache.get(k); ent != nil {
 				ent.uses++
 				if c.revalidateEvery <= 0 || ent.uses < c.revalidateEvery {
 					c.pendingCacheHits.Add(1)
-					res.CacheHit = true
-					res.Pred = ent.pred
-					agree := binaryPred == ent.pred
-					res.BinaryAgree = &agree
-					res.ClientTime = time.Since(start)
-					res.Stages.Local = res.ClientTime
-					return res, nil
+					r.CacheHit, r.Pred, r.BinaryAgree = true, ent.pred, agreement(r.BinaryPred, ent.pred)
+					continue
 				}
 			}
 		}
+		pending = append(pending, i)
+	}
+	localAll := time.Since(start)
+	local := localAll / time.Duration(len(out))
+	for i := range out {
+		out[i].ClientTime, out[i].Stages.Local = local, local
+	}
+	if len(pending) == 0 {
+		return nil
 	}
 
-	tel := c.telemetryFor(entropy, binaryPred, tau)
+	// The pending samples travel in one frame: shared itself when all of
+	// them offload, else a gather of their rows.
+	frame := shared
+	if len(pending) < len(out) {
+		per := len(shared.Data) / len(out)
+		frame = tensor.New(append([]int{len(pending)}, shared.Shape[1:]...)...)
+		for j, i := range pending {
+			copy(frame.Data[j*per:(j+1)*per], shared.Data[i*per:(i+1)*per])
+		}
+	}
+	// Telemetry carries the frame's first-sample decision (the documented
+	// v3 semantics) plus the piggybacked backlog — including this call's
+	// own local exits and cache hits.
+	first := &out[pending[0]]
+	tel := c.telemetryFor(first.Entropy, first.BinaryPred, tau)
 	encodeStart := time.Now()
 	var buf bytes.Buffer
-	if err := collab.WriteTensorTelemetry(&buf, shared, c.wireCodec(), tel); err != nil {
+	if err := collab.WriteTensorTelemetry(&buf, frame, c.wireCodec(), tel); err != nil {
 		c.refundExits(tel)
-		return Result{}, fmt.Errorf("webclient: encode intermediate: %w", err)
+		return fmt.Errorf("webclient: encode intermediate: %w", err)
 	}
-	res.Stages.Encode = time.Since(encodeStart)
-	res.PayloadBytes = buf.Len()
+	encode := time.Since(encodeStart)
+	share := time.Duration(len(pending))
+	for _, i := range pending {
+		out[i].Stages.Encode = encode / share
+		out[i].PayloadBytes = buf.Len() / len(pending)
+	}
 	id := collab.NewRequestID()
 	// The trace parent ships the client-side stage timings with the
 	// request, so the edge journal alone can render the full client→edge
 	// waterfall (/v1/debug/trace/{id}) without a second collection hop.
-	tp := collab.TraceParent{
-		ID:           id,
-		LocalMicros:  res.Stages.Local.Microseconds(),
-		EncodeMicros: res.Stages.Encode.Microseconds(),
-	}
+	tp := collab.TraceParent{ID: id, LocalMicros: localAll.Microseconds(), EncodeMicros: encode.Microseconds()}
 	edgeStart := time.Now()
 	ir, err := c.edgeInfer(ctx, &buf, id, tp)
+	rtt := time.Since(edgeStart) / share
 	if err != nil {
 		c.refundExits(tel)
 		if errors.Is(err, ErrVersionConflict) {
@@ -477,61 +524,71 @@ func (c *Client) Recognize(ctx context.Context, x *tensor.Tensor) (Result, error
 			// bundle is outdated. Degrading to the (equally outdated) binary
 			// branch or a cached answer would hide exactly the signal the
 			// pin exists to surface — return it so the caller revalidates.
-			return Result{}, err
+			return err
 		}
-		if keyed {
-			if ent := c.cache.get(key); ent != nil {
-				// Edge outage, but this exact frame has a cached answer —
-				// serve it (stale revalidation included) instead of
-				// degrading to the binary branch or failing the scan.
-				c.pendingCacheHits.Add(1)
-				res.CacheHit = true
-				res.Degraded = true
-				res.Pred = ent.pred
-				agree := binaryPred == ent.pred
-				res.BinaryAgree = &agree
-				res.PayloadBytes = 0
-				return res, nil
+		for _, i := range pending {
+			r := &out[i]
+			if keys != nil {
+				if ent := c.cache.get(keys[i]); ent != nil {
+					// Edge outage, but this exact frame has a cached answer —
+					// serve it (stale revalidation included) instead of
+					// degrading to the binary branch or failing the scan.
+					c.pendingCacheHits.Add(1)
+					r.CacheHit, r.Degraded, r.Pred, r.PayloadBytes = true, true, ent.pred, 0
+					r.BinaryAgree = agreement(r.BinaryPred, ent.pred)
+					continue
+				}
 			}
+			if !c.FallbackToBinary {
+				return err
+			}
+			r.Degraded, r.Pred = true, r.BinaryPred
 		}
-		if c.FallbackToBinary {
-			res.Degraded = true
-			res.Pred = binaryPred
-			return res, nil
-		}
-		return Result{}, err
+		return nil
 	}
-	if keyed {
-		c.cache.put(key, ir.Pred)
+	if len(ir.Preds) == 0 {
+		// An edge that answers a one-sample frame with Pred alone.
+		ir.Preds = []int{ir.Pred}
 	}
-	res.EdgeTime = time.Since(edgeStart)
-	res.Stages.RTT = res.EdgeTime
-	res.Stages.mergeEcho(ir.Stages)
-	res.Pred = ir.Pred
-	res.ServerMicros = ir.ServerMicros
-	res.RequestID = id
+	if len(ir.Preds) != len(pending) {
+		return fmt.Errorf("webclient: edge returned %d predictions for %d samples", len(ir.Preds), len(pending))
+	}
+	reqID := id
 	if ir.RequestID != "" {
-		res.RequestID = ir.RequestID
+		reqID = ir.RequestID
 	}
-	res.TraceID = tp.ID
-	res.BinaryAgree = ir.BinaryAgree
-	res.ModelVersion = ir.Version
-	res.BundleStale = ir.Version != "" && c.bundleVersion != "" && ir.Version != c.bundleVersion
+	stale := ir.Version != "" && c.bundleVersion != "" && ir.Version != c.bundleVersion
+	for j, i := range pending {
+		r := &out[i]
+		if keys != nil {
+			c.cache.put(keys[i], ir.Preds[j])
+		}
+		r.Pred, r.ServerMicros = ir.Preds[j], ir.ServerMicros
+		r.EdgeTime, r.Stages.RTT = rtt, rtt
+		r.Stages.mergeEcho(ir.Stages, len(pending))
+		r.RequestID, r.TraceID = reqID, id
+		r.BinaryAgree = agreement(r.BinaryPred, r.Pred)
+		r.ModelVersion, r.BundleStale = ir.Version, stale
+	}
 	c.applyTauPush(ir.Tau)
-	return res, nil
+	return nil
+}
+
+// agreement is the verdict on whether the binary branch's top-1 matched
+// the answer served: the edge's verdict when that answer is the edge's,
+// since both sides take top-1 by tensor.ArgmaxRow.
+func agreement(binaryPred, pred int) *bool {
+	agree := binaryPred == pred
+	return &agree
 }
 
 // telemetryFor builds the offload frame's decision-telemetry block,
 // draining the pending local-exit and session-cache-hit counts into it.
 // tau is the threshold the caller's decision actually used (loaded once
-// per decision). It returns nil when telemetry is disabled (the client
-// then sends plain v2/v1 frames). A caller whose request ultimately fails
-// must hand the counts back with refundExits so the edge's decision
-// counters stay complete.
+// per decision). A caller whose request ultimately fails must hand the
+// counts back with refundExits so the edge's decision counters stay
+// complete.
 func (c *Client) telemetryFor(entropy float64, binaryPred int, tau float64) *collab.Telemetry {
-	if c.noTelemetry {
-		return nil
-	}
 	exits := c.pendingExits.Swap(0)
 	if over := exits - collab.MaxLocalExits; over > 0 {
 		c.pendingExits.Add(over)
@@ -552,7 +609,7 @@ func (c *Client) telemetryFor(entropy float64, binaryPred int, tau float64) *col
 // flush limit, forcing the next would-exit decision to offload instead so
 // the backlog (and a controller's feedback) reaches the edge.
 func (c *Client) mustFlush() bool {
-	return c.flushEvery > 0 && !c.noTelemetry && c.pendingExits.Load() >= int64(c.flushEvery)
+	return c.flushEvery > 0 && c.pendingExits.Load() >= int64(c.flushEvery)
 }
 
 // refundExits returns a failed request's piggybacked exit and cache-hit
@@ -560,9 +617,6 @@ func (c *Client) mustFlush() bool {
 // them — exactly once: the counts were drained by telemetryFor's Swap, so
 // a refund is the only copy in flight.
 func (c *Client) refundExits(tel *collab.Telemetry) {
-	if tel == nil {
-		return
-	}
 	if tel.LocalExits > 0 {
 		c.pendingExits.Add(int64(tel.LocalExits))
 	}
