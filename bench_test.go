@@ -62,36 +62,26 @@ func BenchmarkFig10WebARLatency(b *testing.B)       { benchmarkExperiment(b, "fi
 
 // --- Kernel ablations: the load-bearing speed claims. ---
 
-// Packed XNOR convolution vs the float simulation of the same binary conv
-// vs a full-precision conv of identical geometry. The packed kernel is the
-// paper's browser-side inference engine.
-func convBenchSetup() (*binary.Conv2D, *binary.PackedConv2D, *nn.Conv2D, *tensor.Tensor) {
+// Packed XNOR convolution vs a full-precision conv of identical geometry.
+// The packed kernel is the paper's browser-side inference engine.
+func convBenchSetup() (*binary.PackedConv2D, *nn.Conv2D, *tensor.Tensor) {
 	g := tensor.NewRNG(1)
-	bc := binary.NewConv2D("bc", g, 64, 128, 3, 3, 1, 1)
-	pc := binary.PackConv2D(bc)
+	pc := binary.PackConv2D(binary.NewConv2D("bc", g, 64, 128, 3, 3, 1, 1))
 	fc := nn.NewConv2D("fc", g, 64, 128, 3, 3, 1, 1)
 	x := g.Uniform(-1, 1, 1, 64, 16, 16)
-	return bc, pc, fc, x
+	return pc, fc, x
 }
 
 func BenchmarkConvFloat(b *testing.B) {
-	_, _, fc, x := convBenchSetup()
+	_, fc, x := convBenchSetup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fc.Forward(x, false)
 	}
 }
 
-func BenchmarkConvBinaryFloatSim(b *testing.B) {
-	bc, _, _, x := convBenchSetup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bc.Forward(x, false)
-	}
-}
-
 func BenchmarkConvBinaryPackedXNOR(b *testing.B) {
-	_, pc, _, x := convBenchSetup()
+	pc, _, x := convBenchSetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

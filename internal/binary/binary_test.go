@@ -2,6 +2,7 @@ package binary
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,30 @@ func TestInputScalesUniformInput(t *testing.T) {
 	corner := k[0]
 	if math.Abs(float64(corner)-8.0/9) > 1e-5 {
 		t.Fatalf("corner K = %v, want %v", corner, 8.0/9)
+	}
+}
+
+// InputScalesInto must reproduce InputScales exactly while reusing caller
+// storage across calls with stale contents.
+func TestInputScalesIntoMatches(t *testing.T) {
+	g := tensor.ConvGeom{InC: 3, InH: 11, InW: 13, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	rng := tensor.NewRNG(7)
+	img := rng.Uniform(-2, 2, 3, 11, 13).Data
+
+	want := InputScales(g, img)
+	dst := make([]float32, g.OutH()*g.OutW())
+	aplane := make([]float32, g.InH*g.InW)
+	for i := range dst {
+		dst[i] = 999 // stale garbage must be overwritten
+	}
+	for i := range aplane {
+		aplane[i] = -999
+	}
+	InputScalesInto(dst, aplane, g, img)
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(dst[i]) {
+			t.Fatalf("scale %d differs: %v vs %v", i, want[i], dst[i])
+		}
 	}
 }
 
@@ -302,5 +327,38 @@ func TestBinaryLayerTrainsThroughSTE(t *testing.T) {
 	logits := head.Forward(lin.Forward(x, false), false)
 	if acc := nn.Accuracy(logits, labels); acc < 0.9 {
 		t.Fatalf("binary layer failed to train through STE: acc = %v", acc)
+	}
+}
+
+// The training-time binary Conv2D keeps no eval scratch: an inference clone
+// shares the layer itself, eval forwards write nothing to it and may run
+// concurrently, and each is bitwise its training forward.
+func TestBinaryConv2DCloneForInference(t *testing.T) {
+	g := tensor.NewRNG(3)
+	c := NewConv2D("bc", g, 2, 4, 3, 3, 1, 1)
+	if nn.CloneForInference(c) != nn.Layer(c) {
+		t.Fatal("inference clone of binary *Conv2D must be the layer itself")
+	}
+	x := g.Uniform(-1, 1, 2, 2, 9, 9)
+	got := make([]*tensor.Tensor, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = c.Forward(x, false)
+		}(i)
+	}
+	wg.Wait()
+	if c.lastInput != nil || c.lastRaw != nil || c.lastCols != nil || c.lastK != nil {
+		t.Fatal("eval forward wrote the training caches")
+	}
+	want := c.Forward(x, true)
+	for _, out := range got {
+		for i := range want.Data {
+			if math.Float32bits(want.Data[i]) != math.Float32bits(out.Data[i]) {
+				t.Fatalf("eval forward differs from training forward at %d", i)
+			}
+		}
 	}
 }

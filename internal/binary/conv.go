@@ -28,25 +28,6 @@ type Conv2D struct {
 	lastK     []float32 // input scales per sample, OutH*OutW each
 	lastAlpha []float32
 	lastGeom  tensor.ConvGeom
-
-	// Eval-path scratch, reused across forwards (see nn.Conv2D for the
-	// aliasing rules; not concurrency safe): wEst holds the binarized
-	// weight matrix, ks the input scales, aplane the channel-mean |I| plane
-	// for InputScalesInto, panel the pack buffer, st the reusable fused-GEMM
-	// state. The full cols matrix is never materialized.
-	wEst, ks, aplane, panel []float32
-	st                      tensor.ConvGemmState
-}
-
-// CloneForInference implements nn.ForwardContext: the clone shares the
-// shadow Weight and Bias but owns private scratch buffers, so eval-mode
-// Forward calls on the clone and the original may run concurrently.
-func (c *Conv2D) CloneForInference() nn.Layer {
-	return &Conv2D{
-		name: c.name, InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
-		Stride: c.Stride, Pad: c.Pad,
-		Weight: c.Weight, Bias: c.Bias,
-	}
 }
 
 var _ nn.Layer = (*Conv2D)(nil)
@@ -106,7 +87,11 @@ func (c *Conv2D) FLOPs(in []int) int64 {
 	return xnorFLOPs(c.OutC*g.OutH()*g.OutW(), c.InC*c.KH*c.KW)
 }
 
-// Forward implements nn.Layer.
+// Forward implements nn.Layer. Training and eval run the same math; only
+// training keeps its im2col matrices, in buffers reused across steps, for
+// Backward. Eval works in local buffers and writes nothing to the layer, so
+// eval forwards may run concurrently. Inference answers come from
+// PackedConv2D instead, which agrees with this forward to float rounding.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	nn0 := x.Dim(0)
 	g := c.geom(x.Shape[1:])
@@ -114,18 +99,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p := outH * outW
 	k := c.InC * c.KH * c.KW
 
-	if !train {
-		return c.forwardFused(x, g, nn0, p, k, outH, outW)
-	}
-
-	// Training materializes the raw and scaled sign matrices: Backward
-	// needs both. Binarize weights: W~ = alpha * sign(W).
+	// Binarize weights: W~ = alpha * sign(W).
 	wEst := tensor.New(c.OutC, k)
 	alphas := EstimateWeights(wEst, c.Weight.Value.Reshape(c.OutC, k))
 
 	out := tensor.New(nn0, c.OutC, outH, outW)
-	c.lastRaw, c.lastCols, c.lastK = grow(c.lastRaw, nn0*p*k), grow(c.lastCols, nn0*p*k), grow(c.lastK, nn0*p)
-	rawAll, colsAll, kAll := c.lastRaw, c.lastCols, c.lastK
+	var rawAll, colsAll, kAll []float32
+	if train {
+		rawAll, colsAll, kAll = c.lastRaw, c.lastCols, c.lastK
+	}
+	rawAll, colsAll, kAll = grow(rawAll, nn0*p*k), grow(colsAll, nn0*p*k), grow(kAll, nn0*p)
 
 	for i := 0; i < nn0; i++ {
 		img := x.Batch(i).Data
@@ -161,39 +144,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	c.lastInput, c.lastAlpha, c.lastGeom = x, alphas, g
-	return out
-}
-
-// forwardFused is the eval-mode binary convolution: the ±K_p sign matrix is
-// packed panel-by-panel (tensor.ConvGemmState with Scale set) and consumed
-// by the blocked kernels, so neither the raw im2col matrix nor the scaled
-// sign matrix is ever materialized. Per output element the accumulation is
-// the same single ascending-k chain plus one bias add as the training
-// forward's MatMulTransB, so outputs are bitwise identical (conv_fuse_test.go).
-func (c *Conv2D) forwardFused(x *tensor.Tensor, g tensor.ConvGeom, n, p, k, outH, outW int) *tensor.Tensor {
-	// Binarize weights: W~ = alpha * sign(W). The alphas are folded into
-	// wEst; they are only needed separately by Backward.
-	c.wEst = grow(c.wEst, c.OutC*k)
-	EstimateWeights(tensor.FromSlice(c.wEst, c.OutC, k), c.Weight.Value.Reshape(c.OutC, k))
-
-	out := tensor.New(n, c.OutC, outH, outW)
-	c.ks, c.aplane, c.panel = grow(c.ks, p), grow(c.aplane, g.InH*g.InW), grow(c.panel, tensor.ConvPanelLen(k, p))
-	st := &c.st
-	st.G = g
-	st.OutC = c.OutC
-	st.W = c.wEst
-	st.Bias = c.Bias.Value.Data
-	st.Panel = c.panel
-	sample := g.InC * g.InH * g.InW
-	plane := c.OutC * p
-	for i := 0; i < n; i++ {
-		img := x.Data[i*sample : (i+1)*sample]
-		InputScalesInto(c.ks, c.aplane, g, img)
-		st.Scale = c.ks
-		st.Img = img
-		st.Out = out.Data[i*plane : (i+1)*plane]
-		st.Run()
+	if train {
+		c.lastInput, c.lastRaw, c.lastCols, c.lastK = x, rawAll, colsAll, kAll
+		c.lastAlpha, c.lastGeom = alphas, g
 	}
 	return out
 }

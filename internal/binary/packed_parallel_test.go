@@ -40,25 +40,3 @@ func TestPackedConv2DParallelBitwiseQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The training-time binary Conv2D's inference clone must share parameters
-// and produce bitwise-identical eval forwards.
-func TestBinaryConv2DCloneForInference(t *testing.T) {
-	g := tensor.NewRNG(3)
-	c := NewConv2D("bc", g, 2, 4, 3, 3, 1, 1)
-	clone, ok := c.CloneForInference().(*Conv2D)
-	if !ok {
-		t.Fatal("clone of binary *Conv2D must be *Conv2D")
-	}
-	if clone.Weight != c.Weight || clone.Bias != c.Bias {
-		t.Fatal("clone must share parameter pointers")
-	}
-	x := g.Uniform(-1, 1, 2, 2, 9, 9)
-	want := c.Forward(x, false)
-	got := clone.Forward(x, false)
-	for i := range want.Data {
-		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-			t.Fatalf("clone forward differs at %d", i)
-		}
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"lcrs/internal/binary"
 	"lcrs/internal/dataset"
 	"lcrs/internal/device"
 	"lcrs/internal/exitpolicy"
@@ -93,9 +94,15 @@ type Runtime struct {
 	// main-branch rest runs, so session accuracy reflects the codec's
 	// reconstruction loss exactly as a real client/edge pair would see it.
 	Codec Codec
+
+	// branch is Model's binary branch, packed once by NewRuntime: Infer
+	// runs the XNOR engine the web client runs.
+	branch *binary.PackedBranch
 }
 
-// NewRuntime validates and builds a runtime.
+// NewRuntime validates and builds a runtime over a trained m. It packs m's
+// binary branch once, so Infer's exit decisions and binary answers are
+// bitwise the web client's; build the runtime after training.
 func NewRuntime(m *models.Composite, tau float64, cost CostModel) (*Runtime, error) {
 	if m == nil {
 		return nil, fmt.Errorf("collab: nil model")
@@ -106,7 +113,7 @@ func NewRuntime(m *models.Composite, tau float64, cost CostModel) (*Runtime, err
 	if cost.Link == nil {
 		return nil, fmt.Errorf("collab: cost model needs a link")
 	}
-	return &Runtime{Model: m, Tau: tau, Cost: cost}, nil
+	return &Runtime{Model: m, Tau: tau, Cost: cost, branch: binary.PackBranch(m.CloneForInference().Binary)}, nil
 }
 
 // Infer runs Algorithm 2 on a single sample x (CHW tensor) and attributes
@@ -120,7 +127,7 @@ func (rt *Runtime) Infer(x *tensor.Tensor) Record {
 
 	clientStart := time.Now()
 	shared := m.ForwardShared(batch, false)
-	binLogits := m.ForwardBinary(shared, false)
+	binLogits := rt.branch.Forward(shared)
 	probs := tensor.Softmax(binLogits)
 	entropy := exitpolicy.NormalizedEntropy(probs.Row(0))
 

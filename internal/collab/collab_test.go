@@ -2,6 +2,7 @@ package collab
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,31 +12,49 @@ import (
 	"lcrs/internal/training"
 )
 
-func trainedRuntime(t *testing.T, tau float64) (*Runtime, *dataset.Dataset) {
-	t.Helper()
+// The Runtime tests share one trained LeNet; each gets its own Runtime and
+// a freshly seeded link, so a test that moves rt.Tau or draws link jitter
+// leaves the others as they were.
+var (
+	trainedOnce  sync.Once
+	trainedModel *models.Composite
+	trainedTest  *dataset.Dataset
+	trainedErr   error
+)
+
+func trainLeNet() (*models.Composite, *dataset.Dataset, error) {
 	m, err := models.Build("lenet", models.Config{
 		Classes: 10, InC: 1, InH: 28, InW: 28, WidthScale: 0.12, Seed: 1,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	full, err := dataset.GenerateByName("mnist", 400, 2)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	train, test := full.Split(0.7)
 	opts := training.DefaultOptions()
 	opts.Epochs = 8
 	if _, err := training.Run(m, train, test, opts); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
+	}
+	return m, test, nil
+}
+
+func trainedRuntime(t *testing.T, tau float64) (*Runtime, *dataset.Dataset) {
+	t.Helper()
+	trainedOnce.Do(func() { trainedModel, trainedTest, trainedErr = trainLeNet() })
+	if trainedErr != nil {
+		t.Fatal(trainedErr)
 	}
 	cm := DefaultCostModel()
 	cm.Link.Seed(1)
-	rt, err := NewRuntime(m, tau, cm)
+	rt, err := NewRuntime(trainedModel, tau, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, test
+	return rt, trainedTest
 }
 
 func TestNewRuntimeValidation(t *testing.T) {

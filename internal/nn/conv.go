@@ -195,7 +195,6 @@ func (c *Conv2D) forwardFused(x *tensor.Tensor, g tensor.ConvGeom, n, p, k, outH
 	if c.UseBias {
 		st.Bias = c.Bias.Value.Data
 	}
-	st.Scale = nil
 	st.Panel = panel
 	sample := g.InC * g.InH * g.InW
 	plane := c.OutC * p

@@ -13,7 +13,7 @@ package tensor
 // accumulation chain per output element followed by one bias add — exactly
 // the order the training conv kernel uses — so fused output is bitwise
 // identical to a training forward of the same layer, pinned by the fuse
-// tests in internal/nn and internal/binary. Parallelism
+// test in internal/nn. Parallelism
 // is over gemmMR-row output-channel strips only, so worker count and chunk
 // boundaries cannot change any element's chain.
 
@@ -43,14 +43,10 @@ func ConvPanelLen(k, p int) int {
 // caller-owned (arena-backed on serving replicas). Not safe for concurrent
 // use; each replica owns its own state.
 type ConvGemmState struct {
-	G    ConvGeom
-	OutC int
-	W    []float32 // (OutC x K) row-major weights
-	Bias []float32 // per-output-channel bias; nil for none
-	// Scale, when non-nil, folds XNOR-Net input binarization into the
-	// pack: the panel receives sign(v)*Scale[pos] (sign(0) = +1) instead
-	// of the raw patch value. nil for full-precision convolutions.
-	Scale []float32
+	G     ConvGeom
+	OutC  int
+	W     []float32 // (OutC x K) row-major weights
+	Bias  []float32 // per-output-channel bias; nil for none
 	Panel []float32 // caller-owned scratch, >= ConvPanelLen(K, P) floats
 	Img   []float32 // current input sample, InC*InH*InW
 	Out   []float32 // current output, OutC*P
@@ -73,7 +69,7 @@ func (st *ConvGemmState) Run() {
 	for jc := 0; jc < st.p; jc += convNC {
 		st.jc = jc
 		st.nc = min(convNC, st.p-jc)
-		st.G.PackColsPanel(st.Panel, st.Img, jc, st.nc, st.Scale)
+		st.G.PackColsPanel(st.Panel, st.Img, jc, st.nc)
 		ParallelFor(strips, st.kern)
 	}
 }

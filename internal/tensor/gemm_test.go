@@ -252,58 +252,6 @@ func TestConvGemmStateMatchesIm2ColGemm(t *testing.T) {
 	}
 }
 
-func TestConvGemmStateBinaryScaleMatchesLegacy(t *testing.T) {
-	geom := ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	k := geom.InC * geom.KH * geom.KW
-	p := geom.OutH() * geom.OutW()
-	outC := 6
-	g := NewRNG(42)
-	img := g.Uniform(-1, 1, geom.InC, geom.InH, geom.InW)
-	w := g.Uniform(-1, 1, outC, k)
-	scale := g.Uniform(0.1, 2, p)
-
-	// Legacy order: raw im2col, cols = +-scale by sign (sign(0)=+1),
-	// ascending-k dot, then bias. Bias nil here; the binary layer's bias
-	// add is covered by its own fuse test.
-	raw := make([]float32, p*k)
-	geom.Im2Col(raw, img.Data)
-	cols := make([]float32, p*k)
-	for pos := 0; pos < p; pos++ {
-		sc := scale.Data[pos]
-		for j := 0; j < k; j++ {
-			if raw[pos*k+j] < 0 {
-				cols[pos*k+j] = -sc
-			} else {
-				cols[pos*k+j] = sc
-			}
-		}
-	}
-	want := make([]float32, outC*p)
-	for o := 0; o < outC; o++ {
-		wrow := w.Data[o*k : (o+1)*k]
-		for pos := 0; pos < p; pos++ {
-			crow := cols[pos*k : (pos+1)*k]
-			var s float32
-			for j, wv := range wrow {
-				s += wv * crow[j]
-			}
-			want[o*p+pos] = s
-		}
-	}
-
-	st := &ConvGemmState{
-		G: geom, OutC: outC, W: w.Data, Scale: scale.Data,
-		Panel: make([]float32, ConvPanelLen(k, p)),
-		Img:   img.Data, Out: make([]float32, outC*p),
-	}
-	st.Run()
-	for i := range st.Out {
-		if math.Float32bits(st.Out[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("binary fused conv diverges from legacy at %d: %g vs %g", i, st.Out[i], want[i])
-		}
-	}
-}
-
 func BenchmarkMatMulTransBInto(b *testing.B) {
 	shapes := []struct{ m, k, n int }{
 		{1, 4096, 3000}, // fc6 single-sample serving

@@ -87,12 +87,7 @@ func (g ConvGeom) Im2Col(cols, img []float32) {
 // contributes zeros and lanes past pLen are zero-filled — so the fused
 // path computes the same products as the materialized path (pinned by the
 // property and fuzz tests in im2col_pack_test.go).
-//
-// When scale is non-nil the packed value is sign(v)*scale[pos] with
-// sign(0) = +1 (so padding packs +scale[pos]), folding the binary branch's
-// input-scale-times-sign transform of Eq. (4) into the pack step; scale is
-// indexed by absolute output position.
-func (g ConvGeom) PackColsPanel(panel, img []float32, p0, pLen int, scale []float32) {
+func (g ConvGeom) PackColsPanel(panel, img []float32, p0, pLen int) {
 	outW := g.OutW()
 	k := g.InC * g.KH * g.KW
 	planeSz := g.InH * g.InW
@@ -117,23 +112,14 @@ func (g ConvGeom) PackColsPanel(panel, img []float32, p0, pLen int, scale []floa
 		oy, ox := pos/outW, pos%outW
 		iy0 := oy*g.Stride - g.Pad
 		ix0 := ox*g.Stride - g.Pad
-		var sc float32
-		if scale != nil {
-			sc = scale[pos]
-		}
 		for c := 0; c < g.InC; c++ {
 			plane := img[c*planeSz : (c+1)*planeSz]
 			for ky := 0; ky < g.KH; ky++ {
 				iy := iy0 + ky
 				if iy < 0 || iy >= g.InH {
-					// Entire kernel row is padding: zeros, which under
-					// the sign convention binarize to +scale.
+					// Entire kernel row is padding: zeros.
 					for kx := 0; kx < g.KW; kx++ {
-						if scale != nil {
-							panel[idx] = sc
-						} else {
-							panel[idx] = 0
-						}
+						panel[idx] = 0
 						idx += gemmNR
 					}
 					continue
@@ -145,15 +131,7 @@ func (g ConvGeom) PackColsPanel(panel, img []float32, p0, pLen int, scale []floa
 					if ix >= 0 && ix < g.InW {
 						v = plane[rowBase+ix]
 					}
-					if scale != nil {
-						if v < 0 {
-							panel[idx] = -sc
-						} else {
-							panel[idx] = sc
-						}
-					} else {
-						panel[idx] = v
-					}
+					panel[idx] = v
 					idx += gemmNR
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 
+	"lcrs/internal/binary"
 	"lcrs/internal/dataset"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/models"
@@ -153,13 +154,16 @@ type Evaluation struct {
 }
 
 // EvaluateBranches runs both branches over ds and collects accuracies,
-// per-sample correctness and binary-branch entropies.
+// per-sample correctness and binary-branch entropies. The binary branch is
+// packed once per call and runs on the XNOR engine the web client runs, so
+// its entropies and answers are bitwise the client's.
 func EvaluateBranches(m *models.Composite, ds *dataset.Dataset, batchSize int) Evaluation {
 	ev := Evaluation{
 		Entropies:     make([]float64, 0, ds.Len()),
 		BinaryCorrect: make([]bool, 0, ds.Len()),
 		MainCorrect:   make([]bool, 0, ds.Len()),
 	}
+	branch := binary.PackBranch(m.CloneForInference().Binary)
 	var mainRight, binRight int
 	shape := ds.SampleShape()
 	per := shape[0] * shape[1] * shape[2]
@@ -174,7 +178,7 @@ func EvaluateBranches(m *models.Composite, ds *dataset.Dataset, batchSize int) E
 
 		shared := m.ForwardShared(x, false)
 		mainLogits := m.ForwardMainRest(shared, false)
-		binLogits := m.ForwardBinary(shared, false)
+		binLogits := branch.Forward(shared)
 		binProbs := tensor.Softmax(binLogits)
 		for i := 0; i < b; i++ {
 			mc := tensor.ArgmaxRow(mainLogits.Row(i)) == labels[i]

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"lcrs/internal/binary"
 	"lcrs/internal/collab"
 	"lcrs/internal/edge"
 )
@@ -40,7 +41,7 @@ func TestFallbackToBinaryOnEdgeOutage(t *testing.T) {
 	}
 	// The degraded prediction must equal the local binary branch's answer.
 	batch := x.Reshape(1, x.Dim(0), x.Dim(1), x.Dim(2))
-	want := m.ForwardBinary(m.ForwardShared(batch, false), false).Argmax()
+	want := binary.PackBranch(m.CloneForInference().Binary).Forward(m.ForwardShared(batch, false)).Argmax()
 	if res.Pred != want {
 		t.Fatalf("degraded pred %d, binary pred %d", res.Pred, want)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"lcrs/internal/binary"
 	"lcrs/internal/dataset"
 	"lcrs/internal/edge"
 	"lcrs/internal/models"
@@ -130,6 +131,7 @@ func TestRecognizeMatchesDirectEvaluation(t *testing.T) {
 	c, m, test, done := trainServeClient(t, 1.0) // always exit
 	defer done()
 	ctx := context.Background()
+	branch := binary.PackBranch(m.CloneForInference().Binary)
 	for i := 0; i < 10; i++ {
 		x, _ := test.Sample(i)
 		res, err := c.Recognize(ctx, x)
@@ -140,7 +142,7 @@ func TestRecognizeMatchesDirectEvaluation(t *testing.T) {
 			t.Fatal("tau=1 must exit locally")
 		}
 		batch := x.Reshape(1, x.Dim(0), x.Dim(1), x.Dim(2))
-		want := m.ForwardBinary(m.ForwardShared(batch, false), false).Argmax()
+		want := branch.Forward(m.ForwardShared(batch, false)).Argmax()
 		if res.Pred != want {
 			t.Fatalf("sample %d: client pred %d, direct pred %d", i, res.Pred, want)
 		}

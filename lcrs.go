@@ -153,7 +153,9 @@ func Train(m *Model, train, eval *Dataset, opts TrainOptions) (*TrainResult, err
 }
 
 // Evaluate runs both branches over ds, collecting the per-sample outcomes
-// threshold screening needs.
+// threshold screening needs. The binary branch runs packed, on the XNOR
+// engine the web client runs, so its entropies and answers are bitwise the
+// web client's.
 func Evaluate(m *Model, ds *Dataset, batchSize int) Evaluation {
 	return training.EvaluateBranches(m, ds, batchSize)
 }
@@ -177,7 +179,9 @@ func ScreenThresholdAccuracyPreserving(ev Evaluation) (float64, ExitStats) {
 // browser, Xeon edge server, 4G link.
 func DefaultCostModel() CostModel { return collab.DefaultCostModel() }
 
-// NewRuntime builds an Algorithm 2 runtime over a trained model.
+// NewRuntime builds an Algorithm 2 runtime over a trained model. It packs
+// the binary branch once, so its exit decisions and binary answers are
+// bitwise the web client's.
 func NewRuntime(m *Model, tau float64, cost CostModel) (*Runtime, error) {
 	return collab.NewRuntime(m, tau, cost)
 }
