@@ -3,62 +3,13 @@ package lcrs
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
-	"lcrs/internal/bench"
 	"lcrs/internal/binary"
 	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
-
-// --- Experiment regeneration benchmarks: one per paper table/figure. ---
-//
-// Each benchmark drives the same experiment code lcrs-bench runs, at the
-// quick scale. The first iteration trains the width-scaled models; the
-// runner caches them, so subsequent iterations measure the experiment
-// harness itself. Run `go run ./cmd/lcrs-bench` for the full-scale sweep.
-
-var (
-	benchRunnerOnce sync.Once
-	benchRunner     *bench.Runner
-)
-
-func sharedRunner() *bench.Runner {
-	benchRunnerOnce.Do(func() {
-		cfg := bench.QuickConfig(io.Discard)
-		cfg.TrainSamples = 200
-		cfg.Epochs = 3
-		cfg.SessionSamples = 20
-		benchRunner = bench.NewRunner(cfg)
-	})
-	return benchRunner
-}
-
-func benchmarkExperiment(b *testing.B, id string) {
-	b.Helper()
-	r := sharedRunner()
-	exp, err := bench.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if err := exp.Run(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1TrainingResults(b *testing.B)   { benchmarkExperiment(b, "table1") }
-func BenchmarkFig4BranchStructure(b *testing.B)     { benchmarkExperiment(b, "fig4") }
-func BenchmarkFig5TrainingCurves(b *testing.B)      { benchmarkExperiment(b, "fig5") }
-func BenchmarkFig6LatencyVsSamples(b *testing.B)    { benchmarkExperiment(b, "fig6") }
-func BenchmarkTable2AverageLatency(b *testing.B)    { benchmarkExperiment(b, "table2") }
-func BenchmarkTable3CommunicationCost(b *testing.B) { benchmarkExperiment(b, "table3") }
-func BenchmarkFig7BrowserModelSize(b *testing.B)    { benchmarkExperiment(b, "fig7") }
-func BenchmarkFig10WebARLatency(b *testing.B)       { benchmarkExperiment(b, "fig10") }
 
 // --- Kernel ablations: the load-bearing speed claims. ---
 

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"lcrs/internal/bench"
-	"lcrs/internal/collab"
 )
 
 func main() {
@@ -30,7 +29,6 @@ func main() {
 		epochs  = flag.Int("epochs", 0, "override training epochs")
 		session = flag.Int("session", 0, "override session sample count (paper: 100)")
 		seed    = flag.Int64("seed", 1, "experiment seed")
-		codec   = flag.String("codec", "", "offload wire codec for session experiments (raw, f16, q8..q2; empty = raw v1 frames)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -59,11 +57,6 @@ func main() {
 	if *session > 0 {
 		cfg.SessionSamples = *session
 	}
-	if _, err := collab.CodecByName(*codec); err != nil {
-		fmt.Fprintln(os.Stderr, "lcrs-bench:", err)
-		os.Exit(2)
-	}
-	cfg.Codec = *codec
 
 	var selected []bench.Experiment
 	switch *exps {

@@ -10,19 +10,16 @@ import (
 	"lcrs/internal/models"
 )
 
-// moreAblations extends the ablation registry with the concurrency and
-// energy studies motivated by the paper's introduction and abstract.
+// moreAblations extends the ablation registry with the concurrency, energy
+// and precision studies motivated by the paper's introduction and abstract,
+// and with the replays that enforce the serving path's contracts (closed-loop
+// tau, streaming caches, SLO burn) as hard errors.
 func moreAblations() []Experiment {
 	return []Experiment{
 		{ID: "ablation-concurrency", Title: "Edge-server load under concurrent AR clients (LCRS vs edge-only)", Run: (*Runner).AblationConcurrency},
 		{ID: "ablation-energy", Title: "Device energy per recognition across approaches", Run: (*Runner).AblationEnergy},
 		{ID: "ablation-bits", Title: "Branch weight precision sweep (1/2/4/8-bit vs float32)", Run: (*Runner).AblationBits},
-		{ID: "throughput", Title: "Measured edge inference throughput vs concurrent clients (replica pool)", Run: (*Runner).Throughput},
-		{ID: "batching", Title: "Micro-batching throughput and p50/p99 latency vs concurrency (on vs off)", Run: (*Runner).Batching},
-		{ID: "stages", Title: "Measured per-stage offload decomposition (client clocks + edge trace echo)", Run: (*Runner).Stages},
-		{ID: "exitdrift", Title: "Exit-rate and entropy drift under class-skewed replay (live edge telemetry)", Run: (*Runner).ExitDrift},
 		{ID: "exitloop", Title: "Closed-loop tau control recovering the exit rate under class skew", Run: (*Runner).ExitLoop},
-		{ID: "kernels", Title: "Blocked+fused GEMM throughput vs unrolled baseline; replica allocs/op", Run: (*Runner).Kernels},
 		{ID: "streaming", Title: "Streaming AR sessions: offloads saved by the session and edge answer caches", Run: (*Runner).Streaming},
 		{ID: "slo", Title: "Windowed SLO burn and recovery: agreement floor flips /v1/health under branch disagreement", Run: (*Runner).SLOBurn},
 	}

@@ -14,7 +14,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"lcrs/internal/collab"
@@ -40,10 +39,6 @@ type Config struct {
 	SessionSamples int
 	// Seed drives data generation, initialization and jitter.
 	Seed int64
-	// Codec names the offload wire codec for session experiments ("raw",
-	// "f16", "q8", ...); empty keeps the raw v1 frames and the historical
-	// latency accounting.
-	Codec string
 	// Quick restricts sweeps to a small subset so the full suite runs in
 	// CI time; the lcrs-bench binary defaults to the full sweep.
 	Quick bool
@@ -274,14 +269,4 @@ func mustSpec(name string) dataset.Spec {
 func buildFull(arch string, cfg models.Config) (*models.Composite, error) {
 	cfg.WidthScale = 1
 	return models.Build(arch, cfg)
-}
-
-// sortedKeys returns map keys in stable order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -10,10 +10,10 @@ import (
 	"lcrs/internal/webclient"
 )
 
-// ExitLoop closes the loop that ExitDrift leaves open: the same
-// class-skewed replay that drags the exit rate from the screened 50%
-// down to ~17% now runs against an edge with a tau controller
-// (edge.WithTauControl, DESIGN.md §12). The controller adopts the
+// ExitLoop replays a class-skewed sample stream — only the class whose
+// screening entropies run highest, which drags the exit rate from the
+// screened 50% down to ~17% at a fixed tau — against an edge with a tau
+// controller (edge.WithTauControl, DESIGN.md §12). The controller adopts the
 // client's screening-time tau from its first telemetry frame, watches the
 // windowed exit rate sag under the skew, and walks the threshold up in
 // bounded, hysteresis-damped steps; each adjustment rides back to the
@@ -37,7 +37,7 @@ func (r *Runner) ExitLoop() error {
 	}
 	replayTau := exitpolicy.ScreenForExitRate(tm.ev.Entropies, 0.5)
 	skewClass := hardestClass(tm)
-	_, skewed := driftPhases(tm, skewClass, requests)
+	skewed := skewedReplay(tm, skewClass, requests)
 	if len(skewed) == 0 {
 		return fmt.Errorf("bench: no samples of skew class %d", skewClass)
 	}
@@ -167,8 +167,8 @@ func (r *Runner) ExitLoop() error {
 
 // skewedOpenLoopRate is the exit rate the skewed stream would hold at a
 // fixed tau — the screening entropies of the skew class judged against
-// it. This is the ~0.17 figure ExitDrift measures; ExitLoop prints it as
-// the uncorrected baseline the controller recovers from.
+// it. ExitLoop prints it as the uncorrected baseline the controller
+// recovers from.
 func skewedOpenLoopRate(tm *trainedModel, skewClass int, tau float64) float64 {
 	exits, n := 0, 0
 	for i, e := range tm.ev.Entropies {
@@ -187,4 +187,61 @@ func skewedOpenLoopRate(tm *trainedModel, skewClass int, tau float64) float64 {
 		return 0
 	}
 	return float64(exits) / float64(n)
+}
+
+// hardestClass returns the class with the highest mean screening entropy.
+// Screening evaluation order matches the test set, so labels line up.
+func hardestClass(tm *trainedModel) int {
+	sum := make([]float64, tm.test.Classes)
+	cnt := make([]int, tm.test.Classes)
+	for i, e := range tm.ev.Entropies {
+		if i >= tm.test.Len() {
+			break
+		}
+		_, y := tm.test.Sample(i)
+		sum[y] += e
+		cnt[y]++
+	}
+	best, bestMean := 0, -1.0
+	for c := range sum {
+		if cnt[c] == 0 {
+			continue
+		}
+		if m := sum[c] / float64(cnt[c]); m > bestMean {
+			best, bestMean = c, m
+		}
+	}
+	return best
+}
+
+// skewedReplay lists n test-set indices of skewClass, cycling through its
+// samples when the test set holds fewer than n of them — it is a replayed
+// workload, so repeats are fine.
+func skewedReplay(tm *trainedModel, skewClass, n int) []int {
+	var classIdx, skewed []int
+	for i := 0; i < tm.test.Len(); i++ {
+		if _, y := tm.test.Sample(i); y == skewClass {
+			classIdx = append(classIdx, i)
+		}
+	}
+	for i := 0; len(classIdx) > 0 && i < n; i++ {
+		skewed = append(skewed, classIdx[i%len(classIdx)])
+	}
+	return skewed
+}
+
+// fetchExitStats reads the model's row from GET /v1/exitstats — the same
+// JSON view an operator scrapes, so the experiment exercises the endpoint
+// rather than the server handle.
+func fetchExitStats(base, model string) (edge.ExitStats, error) {
+	var all []edge.ExitStats
+	if err := getInto(base+"/v1/exitstats", &all); err != nil {
+		return edge.ExitStats{}, err
+	}
+	for _, es := range all {
+		if es.Name == model {
+			return es, nil
+		}
+	}
+	return edge.ExitStats{}, fmt.Errorf("bench: model %q missing from /v1/exitstats", model)
 }

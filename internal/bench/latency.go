@@ -1,18 +1,11 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
-	"sync"
 	"time"
 
 	"lcrs/internal/baseline"
 	"lcrs/internal/collab"
-	"lcrs/internal/edge"
-	"lcrs/internal/tensor"
 )
 
 // lcrsSession trains (or fetches) the width-scaled model for (arch, ds),
@@ -33,13 +26,6 @@ func (r *Runner) lcrsSession(arch, ds string, n int) (collab.SessionStats, error
 		return collab.SessionStats{}, err
 	}
 	rt.CostRef = ref
-	if r.Cfg.Codec != "" {
-		codec, err := collab.CodecByName(r.Cfg.Codec)
-		if err != nil {
-			return collab.SessionStats{}, err
-		}
-		rt.Codec = codec
-	}
 	if n > tm.test.Len() {
 		n = tm.test.Len()
 	}
@@ -159,109 +145,6 @@ func (r *Runner) comparisonTable(title string, metric func(baseline.Report) time
 	}
 	r.table(header, rows)
 	return nil
-}
-
-// Throughput measures served inference throughput of the in-process edge
-// server at 1, 4 and NumCPU concurrent clients. Unlike the queueing-model
-// ablation, this drives the real HTTP path end to end — frame decode,
-// replica checkout, main-branch-rest forward, JSON encode — so it reports
-// what the replica pool actually delivers on the current host.
-func (r *Runner) Throughput() error {
-	arch, ds := "resnet18", "cifar10"
-	if r.Cfg.Quick {
-		arch, ds = "lenet", "mnist"
-	}
-	tm, err := r.train(arch, ds)
-	if err != nil {
-		return err
-	}
-	m := tm.model
-
-	levels := []int{1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
-		levels = append(levels, n)
-	}
-	maxLevel := levels[len(levels)-1]
-
-	s, err := edge.New(edge.WithReplicas(maxLevel))
-	if err != nil {
-		return err
-	}
-	if _, err := s.Register(arch, m); err != nil {
-		return err
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	// One representative frame: the shared-prefix activation of a random
-	// input, exactly what a non-confident client uploads.
-	g := tensor.NewRNG(r.Cfg.Seed)
-	x := g.Uniform(-1, 1, 1, m.Cfg.InC, m.Cfg.InH, m.Cfg.InW)
-	var frame bytes.Buffer
-	if err := collab.WriteTensor(&frame, m.ForwardShared(x, false)); err != nil {
-		return err
-	}
-	url := srv.URL + "/v1/infer/" + arch
-
-	total := 96
-	if r.Cfg.Quick {
-		total = 32
-	}
-	r.printf("Edge inference throughput (%s, replica pool = %d, %d requests per level)\n",
-		arch, maxLevel, total)
-	header := []string{"Clients", "Req/s", "Speedup"}
-	var rows [][]string
-	var serialRate float64
-	for _, clients := range levels {
-		rate, err := measureThroughput(url, frame.Bytes(), clients, total)
-		if err != nil {
-			return err
-		}
-		if serialRate == 0 {
-			serialRate = rate
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(clients),
-			fmt.Sprintf("%.1f", rate),
-			fmt.Sprintf("%.2fx", rate/serialRate),
-		})
-	}
-	r.table(header, rows)
-	return nil
-}
-
-// measureThroughput fires total requests at url from the given number of
-// concurrent clients and returns requests per second.
-func measureThroughput(url string, frame []byte, clients, total int) (float64, error) {
-	per := total / clients
-	errs := make(chan error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(frame))
-				if err != nil {
-					errs <- err
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("bench: infer status %s", resp.Status)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return 0, err
-	}
-	return float64(clients*per) / elapsed.Seconds(), nil
 }
 
 // Fig7 regenerates Figure 7: the bytes each approach must place on the

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,8 +14,9 @@ import (
 	"lcrs/internal/webclient"
 )
 
-// SLOBurn replays the exitdrift-style workload against an edge graded by
-// the windowed SLO engine (internal/slo) and watches /v1/health flip.
+// SLOBurn replays the test set through a real client against an edge
+// graded by the windowed SLO engine (internal/slo) and watches
+// /v1/health flip.
 // Three phases on an injected clock, no sleeping:
 //
 //  1. healthy — samples both branches classify correctly, so the binary
@@ -209,6 +211,19 @@ func agreementPhases(tm *trainedModel, perPhase int) (agree, disagree []int) {
 		disagree = append(disagree, disagreeable[i%len(disagreeable)])
 	}
 	return agree, disagree
+}
+
+// getInto decodes a JSON GET endpoint into out.
+func getInto(url string, out any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("bench: GET %s: %s", url, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // healthCode returns the /v1/health status code (200 ready, 503 burning).

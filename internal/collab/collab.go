@@ -9,7 +9,6 @@
 package collab
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -88,12 +87,6 @@ type Runtime struct {
 	// exits) with full-scale cost accounting, reproducing the paper's
 	// latency tables without full-scale training.
 	CostRef *models.Composite
-	// Codec, when non-nil and non-raw, is the offload wire codec: uplink
-	// latency is attributed from the codec's frame size, and the
-	// intermediate tensor is round-tripped through the codec before the
-	// main-branch rest runs, so session accuracy reflects the codec's
-	// reconstruction loss exactly as a real client/edge pair would see it.
-	Codec Codec
 
 	// branch is Model's binary branch, packed once by NewRuntime: Infer
 	// runs the XNOR engine the web client runs.
@@ -141,9 +134,9 @@ func (rt *Runtime) Infer(x *tensor.Tensor) Record {
 		return rec
 	}
 	// Ship the shared-prefix output to the edge and run the main rest.
-	rec.Uplink = rt.Cost.Link.SampleUpTime(rt.uplinkBytes(ref))
+	rec.Uplink = rt.Cost.Link.SampleUpTime(ref.SharedOutBytes())
 	serverStart := time.Now()
-	mainLogits := m.ForwardMainRest(rt.throughCodec(shared), false)
+	mainLogits := m.ForwardMainRest(shared, false)
 	rec.MeasuredServer = time.Since(serverStart)
 	rec.ServerCompute = rt.Cost.Server.ComputeTime(ref.MainRest.FLOPs(ref.SharedOutShape()))
 	rec.Downlink = rt.Cost.Link.SampleDownTime(resultBytes)
@@ -157,36 +150,6 @@ func (rt *Runtime) costRef() *models.Composite {
 		return rt.CostRef
 	}
 	return rt.Model
-}
-
-// uplinkBytes is the intermediate-transfer size charged per offload. The
-// raw default keeps the original accounting (payload bytes only, matching
-// the paper's tables); a non-raw codec charges its full encoded frame.
-func (rt *Runtime) uplinkBytes(ref *models.Composite) int64 {
-	if rt.Codec == nil || rt.Codec.ID() == CodecRaw {
-		return ref.SharedOutBytes()
-	}
-	return FrameBytesFor(ref.SharedOutShape(), rt.Codec)
-}
-
-// throughCodec round-trips the intermediate tensor through the configured
-// wire codec, so lossy codecs affect edge predictions the way they would
-// over a real link. Raw (or no) codec returns the tensor untouched.
-func (rt *Runtime) throughCodec(shared *tensor.Tensor) *tensor.Tensor {
-	if rt.Codec == nil || rt.Codec.ID() == CodecRaw {
-		return shared
-	}
-	var buf bytes.Buffer
-	if err := WriteTensorCodec(&buf, shared, rt.Codec); err != nil {
-		// The tensor came from our own forward pass; an encode failure is
-		// a programming error, not a data error.
-		panic(fmt.Sprintf("collab: encode intermediate through %s: %v", rt.Codec.Name(), err))
-	}
-	decoded, _, err := ReadFrame(&buf)
-	if err != nil {
-		panic(fmt.Sprintf("collab: decode intermediate through %s: %v", rt.Codec.Name(), err))
-	}
-	return decoded
 }
 
 // ModelLoadTime returns the one-time cost of downloading the browser bundle

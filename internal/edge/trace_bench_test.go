@@ -2,6 +2,7 @@ package edge
 
 import (
 	"bytes"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -136,7 +137,10 @@ func BenchmarkTraceObserve(b *testing.B) {
 // the suite fast; tracing cost does not scale with the model, so judging
 // it against a toy forward would overstate the overhead). Both sides are
 // measured on this host, so the bound tracks the hardware the test runs
-// on; tracing is typically well below 0.5%.
+// on; tracing measures ~1.5% on a 2-vCPU Xeon. Both are also measured the
+// same way — the fastest of several interleaved (forward batch, trace
+// batch) pairs — so a burst of load from another process slows one pair,
+// not one side of the ratio.
 func TestTracingOverheadBudget(t *testing.T) {
 	m, err := models.Build("lenet", models.Config{
 		Classes: 10, InC: 1, InH: 28, InW: 28, WidthScale: 0.5, Seed: 42,
@@ -148,22 +152,25 @@ func TestTracingOverheadBudget(t *testing.T) {
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	r := m.CloneForInference()
 	r.ForwardMainRest(shared, false) // warm scratch buffers
-	const forwards = 20
-	start := time.Now()
-	for i := 0; i < forwards; i++ {
-		r.ForwardMainRest(shared, false)
-	}
-	perForward := time.Since(start) / forwards
 
 	reg := obs.NewRegistry()
 	st := newModelStats(reg, "budget")
 	tc := benchTauControl(t, reg, "budget")
 	win := benchSLOTarget(t, "budget")
-	const traces = 10000
-	perTrace := traceCost(traces, st, tc, win, newJournal(DefaultJournalSize)) / traces
+	j := newJournal(DefaultJournalSize)
+	const pairs, forwards, traces = 20, 10, 500
+	perForward, perTrace := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for p := 0; p < pairs; p++ {
+		start := time.Now()
+		for i := 0; i < forwards; i++ {
+			r.ForwardMainRest(shared, false)
+		}
+		perForward = min(perForward, time.Since(start)/forwards)
+		perTrace = min(perTrace, traceCost(traces, st, tc, win, j)/traces)
+	}
 
-	if st.stage[stageForward].Count() != traces {
-		t.Fatalf("observed %d traces, want %d", st.stage[stageForward].Count(), traces)
+	if st.stage[stageForward].Count() != pairs*traces {
+		t.Fatalf("observed %d traces, want %d", st.stage[stageForward].Count(), pairs*traces)
 	}
 	if perTrace*50 > perForward {
 		t.Fatalf("tracing %v per request exceeds 2%% of a %v forward", perTrace, perForward)

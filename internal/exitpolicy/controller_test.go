@@ -6,8 +6,9 @@ import (
 )
 
 // exitRateCfg is the configuration the convergence tests drive: the
-// closed-loop answer to the exitdrift experiment (screened exit rate 0.50
-// collapsing to ~0.17 under class skew).
+// closed-loop answer to class-skew drift (screened exit rate 0.50
+// collapsing to ~0.17 under skew, the regime the exitloop experiment
+// replays).
 func exitRateCfg(initial float64) Config {
 	return Config{Mode: ModeExitRate, Target: 0.5, InitialTau: initial}
 }
@@ -23,7 +24,7 @@ func mustController(t *testing.T, cfg Config) *Controller {
 
 // TestControllerConvergenceFromSkew is the deterministic heart of the
 // closed loop: a population skewed so that only 17% of samples sit below
-// the screened tau (the exitdrift regime) must be driven back to the 50%
+// the screened tau (the class-skew regime) must be driven back to the 50%
 // exit-rate target within a bounded request count, and once converged the
 // controller must hold still — no oscillation beyond the hysteresis band.
 func TestControllerConvergenceFromSkew(t *testing.T) {
@@ -81,7 +82,7 @@ func TestControllerConvergenceFromSkew(t *testing.T) {
 }
 
 // TestControllerTracksDrift drives the full drift story: converge on a
-// balanced population, drift to a skewed one (the exitdrift scenario),
+// balanced population, drift to a skewed one (the class-skew scenario),
 // and require re-convergence — the adaptive answer the static screening
 // cannot give.
 func TestControllerTracksDrift(t *testing.T) {

@@ -5,7 +5,66 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"lcrs/internal/edge"
 )
+
+// TestRecognizeStages pins Result.Stages on both Algorithm 2 paths and the
+// per-sample split of the edge's stage echo: an exit carries only the
+// local stage, an offload carries a round trip that bounds the echoed edge
+// stages, and the echo divides evenly over the samples of its request.
+func TestRecognizeStages(t *testing.T) {
+	ctx := context.Background()
+	t.Run("exit", func(t *testing.T) {
+		c, _, test, done := trainServeClient(t, 1.0)
+		defer done()
+		x, _ := test.Sample(0)
+		res, err := c.Recognize(ctx, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stages; !res.Exited || st.Local <= 0 || st != (StageTimes{Local: st.Local}) {
+			t.Fatalf("exit (exited=%v) stages %+v, want only Local > 0", res.Exited, st)
+		}
+	})
+	t.Run("offload", func(t *testing.T) {
+		c, _, test, done := trainServeClient(t, 0.0)
+		defer done()
+		x, _ := test.Sample(0)
+		res, err := c.Recognize(ctx, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stages
+		if res.Exited || st.RTT <= 0 || st.EdgeForward <= 0 {
+			t.Fatalf("offload (exited=%v) stages %+v, want RTT and EdgeForward > 0", res.Exited, st)
+		}
+		if st.EdgeTotal() > st.RTT || st.Network() != st.RTT-st.EdgeTotal() {
+			t.Fatalf("edge stages %v, RTT %v, Network() %v", st.EdgeTotal(), st.RTT, st.Network())
+		}
+	})
+	t.Run("mergeEcho", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			echo *edge.StageMicros
+			n    int
+			want StageTimes
+		}{
+			{"nil echo", nil, 1, StageTimes{}},
+			{"split over 3", &edge.StageMicros{Forward: 900}, 3, StageTimes{EdgeForward: 300 * time.Microsecond}},
+			{"every stage", &edge.StageMicros{Read: 1, Decode: 2, Queue: 3, BatchWait: 4, Forward: 5}, 1, StageTimes{
+				EdgeRead: time.Microsecond, EdgeDecode: 2 * time.Microsecond, EdgeQueue: 3 * time.Microsecond,
+				EdgeBatchWait: 4 * time.Microsecond, EdgeForward: 5 * time.Microsecond,
+			}},
+		} {
+			var got StageTimes
+			got.mergeEcho(tc.echo, tc.n)
+			if got != tc.want {
+				t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+			}
+		}
+	})
+}
 
 // Offloaded recognitions must carry a full measured stage breakdown: the
 // client-side stages populated from local clocks, the edge-side stages
