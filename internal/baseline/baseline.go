@@ -17,17 +17,17 @@ import (
 	"fmt"
 	"time"
 
-	"lcrs/internal/collab"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/models"
 )
 
-// resultBytes mirrors collab's recognition-result payload.
+// resultBytes mirrors edgesim's recognition-result payload.
 const resultBytes = 256
 
 // Env is the execution environment of a comparison.
 type Env struct {
 	// Cost is the device + link model shared with the LCRS runtime.
-	Cost collab.CostModel
+	Cost edgesim.CostModel
 	// SessionSamples amortizes model loading; 1 models the paper's
 	// cold-start Web AR page view.
 	SessionSamples int
@@ -207,7 +207,7 @@ func Edgent(m *models.Composite, env Env, opts EdgentOptions) (Report, error) {
 
 // LCRSReport casts an LCRS session into the same Report shape so the bench
 // harness can tabulate all approaches uniformly.
-func LCRSReport(st collab.SessionStats, loadBytes int64) Report {
+func LCRSReport(st edgesim.SessionStats, loadBytes int64) Report {
 	return Report{
 		Approach:         "lcrs",
 		PartitionAfter:   -1,

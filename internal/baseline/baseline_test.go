@@ -4,15 +4,15 @@ import (
 	"testing"
 	"time"
 
-	"lcrs/internal/collab"
 	"lcrs/internal/device"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/models"
 	"lcrs/internal/netsim"
 )
 
 func testEnv() Env {
 	return Env{
-		Cost: collab.CostModel{
+		Cost: edgesim.CostModel{
 			Client: device.MobileBrowser(),
 			Server: device.EdgeServer(),
 			Link:   netsim.PaperFourG(),

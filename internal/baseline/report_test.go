@@ -4,11 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"lcrs/internal/collab"
+	"lcrs/internal/edgesim"
 )
 
 func TestLCRSReportFields(t *testing.T) {
-	st := collab.SessionStats{
+	st := edgesim.SessionStats{
 		N:         10,
 		ModelLoad: 100 * time.Millisecond,
 		AvgTotal:  30 * time.Millisecond,

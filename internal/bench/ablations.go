@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"lcrs/internal/collab"
 	"lcrs/internal/dataset"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/models"
 	"lcrs/internal/netsim"
@@ -63,8 +63,8 @@ func (r *Runner) AblationLocation() error {
 		if err != nil {
 			return err
 		}
-		bp := collab.BranchPointForComposite(ref, st.ExitRate)
-		exp := collab.ExpectedLatency(bp, cm)
+		bp := edgesim.BranchPointForComposite(ref, st.ExitRate)
+		exp := edgesim.ExpectedLatency(bp, cm)
 		rows = append(rows, []string{
 			fmt.Sprint(loc),
 			fmt.Sprintf("%.2f", res.BinaryAcc*100),
@@ -102,10 +102,10 @@ func (r *Runner) AblationBranches() error {
 	var rows [][]string
 	for _, p1 := range []float64{0.6, 0.75, 0.9} {
 		for _, lift := range []float64{0.02, 0.05, 0.10} {
-			one := collab.BranchPointForComposite(ref1, p1)
-			second := collab.BranchPointForComposite(ref2, lift/(1-p1))
-			eOne := collab.ExpectedLatency(one, cm)
-			eTwo := collab.ExpectedLatencyTwoBranch(one, second, cm)
+			one := edgesim.BranchPointForComposite(ref1, p1)
+			second := edgesim.BranchPointForComposite(ref2, lift/(1-p1))
+			eOne := edgesim.ExpectedLatency(one, cm)
+			eTwo := edgesim.ExpectedLatencyTwoBranch(one, second, cm)
 			rows = append(rows, []string{
 				fmt.Sprintf("%.0f%%", p1*100),
 				fmt.Sprintf("+%.0f%%", lift*100),
@@ -140,13 +140,13 @@ func (r *Runner) AblationTau() error {
 	var rows [][]string
 	for _, tau := range []float64{0, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		st := exitpolicy.Evaluate(tau, tm.ev.Entropies, tm.ev.BinaryCorrect, tm.ev.MainCorrect)
-		bp := collab.BranchPointForComposite(ref, st.ExitRate)
+		bp := edgesim.BranchPointForComposite(ref, st.ExitRate)
 		rows = append(rows, []string{
 			fmt.Sprintf("%.2f", tau),
 			fmt.Sprintf("%.0f", st.ExitRate*100),
 			fmt.Sprintf("%.1f", st.ExitAccuracy*100),
 			fmt.Sprintf("%.1f", st.CombinedAccuracy*100),
-			ms(collab.ExpectedLatency(bp, cm)),
+			ms(edgesim.ExpectedLatency(bp, cm)),
 		})
 	}
 	r.table(header, rows)
@@ -177,7 +177,7 @@ func (r *Runner) AblationLinks() error {
 		link.Seed(r.Cfg.Seed)
 		cm := r.costModel()
 		cm.Link = link
-		rt, err := collab.NewRuntime(tm.model, tm.tau, cm)
+		rt, err := edgesim.NewRuntime(tm.model, tm.tau, cm)
 		if err != nil {
 			return err
 		}

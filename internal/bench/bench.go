@@ -16,9 +16,9 @@ import (
 	"io"
 	"strings"
 
-	"lcrs/internal/collab"
 	"lcrs/internal/dataset"
 	"lcrs/internal/device"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/models"
 	"lcrs/internal/netsim"
@@ -208,10 +208,10 @@ func (r *Runner) fullScale(arch string) (*models.Composite, error) {
 
 // costModel returns the paper's evaluation environment with reseeded
 // jitter for reproducibility.
-func (r *Runner) costModel() collab.CostModel {
+func (r *Runner) costModel() edgesim.CostModel {
 	link := netsim.PaperFourG()
 	link.Seed(r.Cfg.Seed)
-	return collab.CostModel{Client: device.MobileBrowser(), Server: device.EdgeServer(), Link: link}
+	return edgesim.CostModel{Client: device.MobileBrowser(), Server: device.EdgeServer(), Link: link}
 }
 
 // table renders rows with aligned columns to the runner's output.

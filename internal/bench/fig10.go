@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"lcrs/internal/collab"
 	"lcrs/internal/dataset"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/models"
 	"lcrs/internal/training"
@@ -64,7 +64,7 @@ func (r *Runner) Fig10() error {
 		return err
 	}
 	cost := r.costModel()
-	rt, err := collab.NewRuntime(m, tau, cost)
+	rt, err := edgesim.NewRuntime(m, tau, cost)
 	if err != nil {
 		return err
 	}

@@ -5,25 +5,25 @@ import (
 	"time"
 
 	"lcrs/internal/baseline"
-	"lcrs/internal/collab"
+	"lcrs/internal/edgesim"
 )
 
 // lcrsSession trains (or fetches) the width-scaled model for (arch, ds),
 // then runs an Algorithm 2 session whose latency accounting uses the
 // full-scale cost reference — the pairing DESIGN.md documents for the
 // latency experiments.
-func (r *Runner) lcrsSession(arch, ds string, n int) (collab.SessionStats, error) {
+func (r *Runner) lcrsSession(arch, ds string, n int) (edgesim.SessionStats, error) {
 	tm, err := r.train(arch, ds)
 	if err != nil {
-		return collab.SessionStats{}, err
+		return edgesim.SessionStats{}, err
 	}
 	ref, err := r.fullScale(arch)
 	if err != nil {
-		return collab.SessionStats{}, err
+		return edgesim.SessionStats{}, err
 	}
-	rt, err := collab.NewRuntime(tm.model, tm.tau, r.costModel())
+	rt, err := edgesim.NewRuntime(tm.model, tm.tau, r.costModel())
 	if err != nil {
-		return collab.SessionStats{}, err
+		return edgesim.SessionStats{}, err
 	}
 	rt.CostRef = ref
 	if n > tm.test.Len() {

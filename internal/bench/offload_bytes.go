@@ -98,9 +98,9 @@ func (r *Runner) OffloadBytes() error {
 		}
 
 		// Expected per-sample latency with the codec's frame on the uplink.
-		bp := collab.BranchPointForComposite(ref, tm.exit.ExitRate)
+		bp := edgesim.BranchPointForComposite(ref, tm.exit.ExitRate)
 		bp.IntermediateBytes = wire
-		exp := collab.ExpectedLatency(bp, cm)
+		exp := edgesim.ExpectedLatency(bp, cm)
 
 		// Edge shared by 60 clients: the uplink term scales with the frame.
 		sim, err := edgesim.Run(edgesim.Workload{

@@ -95,10 +95,10 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(header(0xff, 2, 2))        // unknown codec id
-	f.Add(header(0x11, 2, 2))        // quant tag with k=1 (unsupported)
-	f.Add(header(0x19, 2, 2))        // quant tag with k=9 (unsupported)
-	f.Add(header(0x1000000, 2, 2))   // tag beyond one byte
+	f.Add(header(0xff, 2, 2))          // unknown codec id
+	f.Add(header(0x11, 2, 2))          // quant tag with k=1 (unsupported)
+	f.Add(header(0x19, 2, 2))          // quant tag with k=9 (unsupported)
+	f.Add(header(0x1000000, 2, 2))     // tag beyond one byte
 	f.Add(header(uint32(CodecF16), 0)) // zero dimension
 	// Truncated scale table: q8 frame for (4,8,8) whose payload carries
 	// only two of the four channel scales.

@@ -254,7 +254,7 @@ func TestAnswerCacheTauInvalidation(t *testing.T) {
 	tel := &collab.Telemetry{Entropy: 0.6, Tau: 0.25, BinaryPred: 3}
 	frame := telemetryFrame(t, shared, tel)
 
-	var last InferResponse
+	var last collab.InferResponse
 	for i := 0; i < 4; i++ {
 		last = postInfer(t, srv.URL+"/v1/infer/demo", frame)
 	}

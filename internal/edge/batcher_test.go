@@ -15,7 +15,7 @@ import (
 )
 
 // postInfer sends one tensor frame and decodes the response.
-func postInfer(t *testing.T, url string, frame []byte) InferResponse {
+func postInfer(t *testing.T, url string, frame []byte) collab.InferResponse {
 	t.Helper()
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
@@ -25,7 +25,7 @@ func postInfer(t *testing.T, url string, frame []byte) InferResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("infer: %s", resp.Status)
 	}
-	var ir InferResponse
+	var ir collab.InferResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBatchedBitwiseIdenticalToUnbatched(t *testing.T) {
 	}
 	psrv := httptest.NewServer(plain.Handler())
 	defer psrv.Close()
-	want := make([]InferResponse, n)
+	want := make([]collab.InferResponse, n)
 	for i, f := range frames {
 		want[i] = postInfer(t, psrv.URL+"/v1/infer/lenet-mnist", f)
 	}
@@ -73,7 +73,7 @@ func TestBatchedBitwiseIdenticalToUnbatched(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	got := make([]InferResponse, n)
+	got := make([]collab.InferResponse, n)
 	var wg sync.WaitGroup
 	for i := range frames {
 		wg.Add(1)
@@ -227,7 +227,7 @@ func TestBatcherCloseDrainsParkedRequests(t *testing.T) {
 
 	const parked = 4
 	var wg sync.WaitGroup
-	results := make([]InferResponse, parked)
+	results := make([]collab.InferResponse, parked)
 	for i := 0; i < parked; i++ {
 		wg.Add(1)
 		go func(i int) {

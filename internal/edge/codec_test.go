@@ -42,7 +42,7 @@ func TestInferCodecs(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s infer: %s", codec.Name(), resp.Status)
 		}
-		var ir InferResponse
+		var ir collab.InferResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestInferCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ir InferResponse
+	var ir collab.InferResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var infos []ModelInfo
+	var infos []collab.ModelInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("infer: %s", resp.Status)
 	}
-	var ir InferResponse
+	var ir collab.InferResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestConcurrentInference(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var ir InferResponse
+			var ir collab.InferResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				errs <- err
 				return

@@ -69,7 +69,7 @@ func TestInferFusedBitwiseMatchesLegacyUnderLoad(t *testing.T) {
 				errs <- fmt.Errorf("job %d: %s", id, resp.Status)
 				return
 			}
-			var ir InferResponse
+			var ir collab.InferResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				errs <- fmt.Errorf("job %d: %v", id, err)
 				return

@@ -134,7 +134,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					fail("worker %d: %v", w, err)
 					return
 				}
-				var ir InferResponse
+				var ir collab.InferResponse
 				decErr := json.NewDecoder(resp.Body).Decode(&ir)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK || decErr != nil {

@@ -175,7 +175,7 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, e *entry, o 
 	o.samples = t.Dim(0)
 	e.answer(t, key, o)
 
-	resp := InferResponse{
+	resp := collab.InferResponse{
 		Model:        e.name,
 		Version:      e.version,
 		Pred:         o.ans.pred,

@@ -139,7 +139,7 @@ func TestInferSurfacesReconcile(t *testing.T) {
 		if r.status != http.StatusOK {
 			return
 		}
-		var ir InferResponse
+		var ir collab.InferResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			t.Error(err)
 			return

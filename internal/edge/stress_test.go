@@ -65,7 +65,7 @@ func TestStressConcurrentInference(t *testing.T) {
 					errs <- err
 					return
 				}
-				var ir InferResponse
+				var ir collab.InferResponse
 				err = json.NewDecoder(resp.Body).Decode(&ir)
 				resp.Body.Close()
 				if err != nil {

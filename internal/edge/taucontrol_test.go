@@ -52,7 +52,7 @@ func TestTauControlPush(t *testing.T) {
 	// The first seeds the controller; the fourth completes the window:
 	// exit rate 0 against target 0.5 steps tau up by the full MaxStep.
 	tel := &collab.Telemetry{Entropy: 0.6, Tau: 0.25, BinaryPred: 3}
-	var ir InferResponse
+	var ir collab.InferResponse
 	for i := 0; i < 4; i++ {
 		ir = postInfer(t, srv.URL+"/v1/infer/demo", telemetryFrame(t, shared, tel))
 		if ir.Tau == nil {
@@ -113,7 +113,7 @@ func TestTauControlHysteresis(t *testing.T) {
 	// Each frame piggybacks one local exit and offloads one sample: the
 	// window's exit rate is exactly 0.5 — dead center of the band.
 	tel := &collab.Telemetry{Entropy: 0.6, Tau: 0.25, BinaryPred: 3, LocalExits: 1}
-	var ir InferResponse
+	var ir collab.InferResponse
 	for i := 0; i < 2; i++ { // 2 frames × (1 exit + 1 offload) = window of 4
 		ir = postInfer(t, srv.URL+"/v1/infer/demo", telemetryFrame(t, shared, tel))
 	}

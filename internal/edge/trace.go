@@ -55,26 +55,14 @@ type trace struct {
 }
 
 // echo returns the stage breakdown a response carries (see StageMicros).
-func (tr *trace) echo() *StageMicros {
-	return &StageMicros{
+func (tr *trace) echo() *collab.StageMicros {
+	return &collab.StageMicros{
 		Read:      tr.stages[stageRead].Microseconds(),
 		Decode:    tr.stages[stageDecode].Microseconds(),
 		Queue:     tr.stages[stageQueue].Microseconds(),
 		BatchWait: tr.stages[stageBatchWait].Microseconds(),
 		Forward:   tr.stages[stageForward].Microseconds(),
 	}
-}
-
-// StageMicros is the per-stage server time echo carried in InferResponse,
-// in microseconds (the resolution ServerMicros already uses). Encode and
-// write cannot be included — they happen after this struct is marshalled
-// — and are only visible in the server's /metrics histograms.
-type StageMicros struct {
-	Read      int64 `json:"read_micros"`
-	Decode    int64 `json:"decode_micros"`
-	Queue     int64 `json:"queue_micros"`
-	BatchWait int64 `json:"batch_wait_micros,omitempty"`
-	Forward   int64 `json:"forward_micros"`
 }
 
 // timingReader counts bytes and wall-clock time spent in Read calls, so

@@ -1,11 +1,25 @@
-// Package edgesim is a discrete-event simulator for an edge server shared
-// by many concurrent Web AR clients. The paper's introduction motivates
-// LCRS with exactly this scenario: offloading every recognition to the edge
-// ("edge-only") melts the server under concurrency, while LCRS's binary
-// branch absorbs most requests on the browsers and ships only the
-// low-confidence remainder. The simulator quantifies that: a single-queue
-// FIFO server with deterministic per-request service time, Poisson request
-// arrivals per client, and seeded randomness for reproducibility.
+// Package edgesim simulates LCRS without serving it, on the cost models of
+// internal/device and internal/netsim. It holds two simulators:
+//
+//   - Runtime runs the paper's Algorithm 2 in process for one device: the
+//     browser executes the shared first convolutional layer and the binary
+//     branch; when the normalized entropy of the binary softmax clears the
+//     threshold the sample exits locally, otherwise the intermediate tensor
+//     travels to the edge server, which runs the rest of the main branch.
+//     Predictions come from the real network, stage latencies from the cost
+//     models, and model-loading cost is amortized over a session exactly as
+//     the paper's 100-sample averages are. ExpectedLatency and
+//     ExpectedLatencyTwoBranch give the same costs in closed form for the
+//     design sweeps of the paper's §IV-D.
+//   - Run is a discrete-event simulator for an edge server shared by many
+//     concurrent Web AR clients. The paper's introduction motivates LCRS
+//     with exactly this scenario: offloading every recognition to the edge
+//     ("edge-only") melts the server under concurrency, while LCRS's binary
+//     branch absorbs most requests on the browsers and ships only the
+//     low-confidence remainder. The simulator quantifies that: a
+//     single-queue FIFO server with deterministic per-request service
+//     time, Poisson request arrivals per client, and seeded randomness for
+//     reproducibility.
 package edgesim
 
 import (
@@ -42,31 +56,6 @@ type Workload struct {
 	Duration time.Duration
 	// Seed drives arrival randomness.
 	Seed int64
-
-	// Micro-batching knobs, mirroring the edge server's batcher
-	// (internal/edge): when BatchMax > 1 the server serves up to BatchMax
-	// queued requests with one forward of cost SetupTime + n*ServiceTime,
-	// and a non-full batch waits up to BatchWait for stragglers before
-	// firing. BatchMax <= 1 keeps the classic one-request-per-service
-	// model, where each request costs SetupTime + ServiceTime.
-	BatchMax int
-	// BatchWait is the coalescing deadline armed by a batch's first
-	// request while the batch is below BatchMax.
-	BatchWait time.Duration
-	// SetupTime is the fixed per-forward cost (im2col/GEMM setup, scratch
-	// sweeps, fork/join) that batching amortizes across the batch;
-	// ServiceTime stays the per-sample marginal cost.
-	SetupTime time.Duration
-
-	// CacheHitRatio is the share of offloaded requests answered from the
-	// edge's content-addressed answer cache (edge.WithAnswerCache): hits
-	// bypass the service station entirely — they pay the uplink transfer
-	// but neither queue nor occupy the server — modeling the streaming AR
-	// regime where many identical quantized frames arrive. 0 (the default)
-	// disables the cache; hits are classified with randomness isolated
-	// from arrival generation, so two workloads differing only in this
-	// field see the same arrival process.
-	CacheHitRatio float64
 }
 
 // TransferTime returns the per-request uplink cost of the workload: zero
@@ -95,15 +84,6 @@ func (w Workload) Validate() error {
 	if w.Duration <= 0 {
 		return fmt.Errorf("edgesim: duration must be positive, got %v", w.Duration)
 	}
-	if w.BatchWait < 0 {
-		return fmt.Errorf("edgesim: batch wait must be non-negative, got %v", w.BatchWait)
-	}
-	if w.SetupTime < 0 {
-		return fmt.Errorf("edgesim: setup time must be non-negative, got %v", w.SetupTime)
-	}
-	if w.CacheHitRatio < 0 || w.CacheHitRatio > 1 {
-		return fmt.Errorf("edgesim: cache hit ratio %v out of [0,1]", w.CacheHitRatio)
-	}
 	return nil
 }
 
@@ -113,8 +93,7 @@ type Result struct {
 	Served int
 	// Utilization is the busy fraction of the server.
 	Utilization float64
-	// MeanWait and P95Wait are queueing delays (excluding service), with
-	// any batching deadline hold included.
+	// MeanWait and P95Wait are queueing delays (excluding service).
 	MeanWait, P95Wait time.Duration
 	// Transfer is the per-request uplink transfer time (zero when the
 	// workload has no link profile).
@@ -122,29 +101,11 @@ type Result struct {
 	// MeanSojourn is uplink transfer plus queueing plus service.
 	MeanSojourn time.Duration
 	// P50Sojourn and P99Sojourn are per-request end-to-end percentiles
-	// (transfer + queueing + service), the distribution the batching
-	// bench compares against measured HTTP latencies.
+	// (transfer + queueing + service).
 	P50Sojourn, P99Sojourn time.Duration
-	// OfferedLoad is arrival rate x unbatched service time (setup + per
-	// sample) — above 1 the unbatched queue is unstable; batching can
-	// hold an offered load above 1 stable by amortizing the setup.
+	// OfferedLoad is arrival rate x service time; above 1 the queue is
+	// unstable.
 	OfferedLoad float64
-	// CacheHits is the number of served requests answered by the simulated
-	// answer cache: they pay the transfer but never touch the server.
-	CacheHits int
-	// Batches is the number of server forwards; MeanBatch is the average
-	// number of requests they coalesced (1 with batching off).
-	Batches int
-	// MeanBatch is (Served - CacheHits) / Batches: hits never reach a
-	// forward, so they do not dilute the coalescing average.
-	MeanBatch float64
-	// MeanHold is the mean coalescing hold per request: time spent parked
-	// for batch peers or the deadline, before the server could have taken
-	// the request anyway. Zero with batching off. This is the simulated
-	// counterpart of the edge server's batch_wait stage histogram (the
-	// stage="batch_wait" series of lcrs_edge_stage_seconds), so simulated
-	// and measured batching policies can be cross-checked directly.
-	MeanHold time.Duration
 }
 
 // arrivalHeap orders event times.
@@ -185,99 +146,27 @@ func Run(w Workload) (Result, error) {
 		arrivals = append(arrivals, heap.Pop(h).(float64))
 	}
 
-	// Cache hits bypass the service station: they pay the transfer but
-	// neither queue nor occupy the server. Classification draws from a
-	// split RNG, and only when the ratio is positive, so arrivals are
-	// identical across workloads that differ only in the hit ratio — and a
-	// zero-ratio run consumes exactly the pre-cache random stream (the
-	// exact-reduction contract the tests pin).
-	hits := 0
-	if w.CacheHitRatio > 0 {
-		hg := g.Split()
-		miss := arrivals[:0]
-		for _, at := range arrivals {
-			if hg.Float64() < w.CacheHitRatio {
-				hits++
-			} else {
-				miss = append(miss, at)
-			}
-		}
-		arrivals = miss
-	}
-
+	// Single-server FIFO: each request starts when it arrives or when the
+	// server frees, whichever is later, and holds the server for one
+	// service time.
 	service := w.ServiceTime.Seconds()
-	setup := w.SetupTime.Seconds()
-	batchMax := w.BatchMax
-	if batchMax < 1 {
-		batchMax = 1
-	}
-	bwait := w.BatchWait.Seconds()
-
-	// Single-server FIFO with server-side coalescing, mirroring the edge
-	// batcher: a forward serves up to batchMax queued requests at cost
-	// setup + n*service; a non-full batch holds for the deadline so late
-	// stragglers can amortize the setup, firing early the moment it fills.
-	// With batchMax = 1 this reduces exactly to the classic per-request
-	// model (and to the pre-batching accounting when setup is zero).
-	var busyUntil, busyTotal, holdTotal float64
-	var waits, sojourns []float64
-	batches := 0
-	i := 0
-	for i < len(arrivals) {
-		// The window opens when the head request could be served: its
-		// arrival, or when the server frees. Everything already queued by
-		// then joins, up to the cap.
-		open := math.Max(arrivals[i], busyUntil)
-		j := i + 1
-		for j < len(arrivals) && j-i < batchMax && arrivals[j] <= open {
-			j++
-		}
-		start := open
-		if j-i < batchMax && bwait > 0 {
-			deadline := open + bwait
-			start = deadline
-			for j < len(arrivals) && j-i < batchMax && arrivals[j] <= deadline {
-				j++
-			}
-			if j-i == batchMax {
-				// Filled before the deadline: fire on the closing arrival.
-				start = arrivals[j-1]
-			}
-		}
-		busy := setup + float64(j-i)*service
-		finish := start + busy
-		busyTotal += busy
-		busyUntil = finish
-		batches++
-		for ; i < j; i++ {
-			waits = append(waits, start-arrivals[i])
-			sojourns = append(sojourns, finish-arrivals[i])
-			// The coalescing hold: the request was takeable at its arrival
-			// or the window opening, whichever came later, but the batch
-			// fired at start. The edge batcher measures the same quantity
-			// as queueStart - parked.
-			holdTotal += start - math.Max(arrivals[i], open)
-		}
-	}
-
-	// Hits are served requests with zero wait and zero server sojourn;
-	// their transfer cost rides in with everyone else's below.
-	for k := 0; k < hits; k++ {
-		waits = append(waits, 0)
-		sojourns = append(sojourns, 0)
+	var busyUntil, busyTotal float64
+	waits := make([]float64, 0, len(arrivals))
+	sojourns := make([]float64, 0, len(arrivals))
+	for _, at := range arrivals {
+		start := math.Max(at, busyUntil)
+		busyUntil = start + service
+		busyTotal += service
+		waits = append(waits, start-at)
+		sojourns = append(sojourns, busyUntil-at)
 	}
 
 	res := Result{
 		Served:      len(waits),
-		CacheHits:   hits,
-		OfferedLoad: float64(w.Clients) * lambda * (setup + service) * (1 - w.CacheHitRatio),
-		Batches:     batches,
+		OfferedLoad: float64(w.Clients) * lambda * service,
 	}
 	if len(waits) == 0 {
 		return res, nil
-	}
-	if batches > 0 {
-		res.MeanBatch = float64(res.Served-hits) / float64(batches)
 	}
 	span := math.Max(horizon, busyUntil)
 	res.Utilization = busyTotal / span
@@ -293,7 +182,6 @@ func Run(w Workload) (Result, error) {
 	dur := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 	res.MeanWait = dur(mean(waits))
 	res.P95Wait = dur(waits[(len(waits)*95)/100])
-	res.MeanHold = dur(holdTotal / float64(res.Served))
 	res.Transfer = w.TransferTime()
 	res.MeanSojourn = res.Transfer + dur(mean(sojourns))
 	res.P50Sojourn = res.Transfer + dur(sojourns[len(sojourns)/2])

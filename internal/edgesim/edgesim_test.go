@@ -27,8 +27,6 @@ func TestValidate(t *testing.T) {
 		func(w *Workload) { w.OffloadFraction = 1.1 },
 		func(w *Workload) { w.ServiceTime = 0 },
 		func(w *Workload) { w.Duration = 0 },
-		func(w *Workload) { w.BatchWait = -time.Millisecond },
-		func(w *Workload) { w.SetupTime = -time.Millisecond },
 	}
 	for i, mutate := range bad {
 		w := baseWorkload()
@@ -190,125 +188,38 @@ func TestTransferAddsToSojourn(t *testing.T) {
 	}
 }
 
-// BatchMax 0 and 1 are both "batching off" and must agree exactly with
-// each other (the legacy single-request service model).
-func TestBatchMaxOneMatchesLegacy(t *testing.T) {
-	w := baseWorkload()
-	legacy, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
+// TestRunPinnedFIFO pins Run to the bit: these results were recorded from
+// the simulator before its batching and cache model were removed, with
+// both at their zero defaults, so the plain single-server FIFO must
+// reproduce them exactly, the second workload with an uplink transfer.
+func TestRunPinnedFIFO(t *testing.T) {
+	cases := []struct {
+		w    Workload
+		want Result
+	}{
+		{baseWorkload(), Result{
+			Served: 564, Utilization: 0.18799999999999747,
+			MeanWait: 2634533, P95Wait: 17288425,
+			MeanSojourn: 22634533, P50Sojourn: 20000000, P99Sojourn: 56099234,
+			OfferedLoad: 0.2,
+		}},
+		{Workload{
+			Clients: 60, RequestRate: 1, OffloadFraction: 0.4, ServiceTime: 20 * time.Millisecond,
+			Duration: 30 * time.Second, Seed: 7, Link: netsim.PaperFourG(), PayloadBytes: 4096,
+		}, Result{
+			Served: 733, Utilization: 0.48841719309315534,
+			MeanWait: 8906405, P95Wait: 39061573, Transfer: 21365333,
+			MeanSojourn: 50271738, P50Sojourn: 41365333, P99Sojourn: 97583526,
+			OfferedLoad: 0.48,
+		}},
 	}
-	w.BatchMax = 1
-	one, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != one {
-		t.Fatalf("BatchMax=1 diverged from legacy:\n%+v\n%+v", legacy, one)
-	}
-	if legacy.MeanBatch != 1 || legacy.Batches != legacy.Served {
-		t.Fatalf("unbatched run must have batch size 1: %+v", legacy)
-	}
-}
-
-// When a fixed setup cost makes the unbatched queue unstable, coalescing
-// amortizes it and brings the sojourn back down — the win the edge
-// batcher is built for.
-func TestBatchingAmortizesSetupUnderLoad(t *testing.T) {
-	w := baseWorkload()
-	w.Clients = 60
-	w.ServiceTime = 4 * time.Millisecond
-	w.SetupTime = 16 * time.Millisecond // offered load 60*(0.004+0.016) = 1.2
-	off, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BatchMax = 16
-	w.BatchWait = 2 * time.Millisecond
-	on, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.OfferedLoad <= 1 {
-		t.Fatalf("unbatched offered load %v should exceed 1", off.OfferedLoad)
-	}
-	if on.MeanBatch <= 1.5 {
-		t.Fatalf("saturated batcher should coalesce, mean batch %v", on.MeanBatch)
-	}
-	if on.MeanSojourn >= off.MeanSojourn/10 {
-		t.Fatalf("batched sojourn %v not dramatically below unbatched %v", on.MeanSojourn, off.MeanSojourn)
-	}
-	if on.P99Sojourn >= off.P99Sojourn {
-		t.Fatalf("batched p99 %v not below unbatched %v", on.P99Sojourn, off.P99Sojourn)
-	}
-}
-
-// At a trickle, the deadline is pure loss: every lone request waits out
-// BatchWait with nobody to share its forward.
-func TestBatchWaitCostsIdleTraffic(t *testing.T) {
-	w := baseWorkload()
-	w.Clients = 1
-	w.RequestRate = 0.5 // mean inter-arrival 2s >> wait: batches of one
-	w.BatchMax = 8
-	w.BatchWait = 10 * time.Millisecond
-	res, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanBatch > 1.05 {
-		t.Fatalf("trickle traffic should not coalesce, mean batch %v", res.MeanBatch)
-	}
-	if res.MeanWait < 9*time.Millisecond {
-		t.Fatalf("lone requests must pay the deadline, mean wait %v", res.MeanWait)
-	}
-}
-
-// MeanHold isolates the coalescing delay: zero without batching, the full
-// deadline for a trickle of lone requests, and bounded by the deadline in
-// general. It is the simulated counterpart of the edge server's
-// batch_wait stage histogram, so the two are directly comparable.
-func TestMeanHoldTracksCoalescingDelay(t *testing.T) {
-	w := baseWorkload()
-	unbatched, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unbatched.MeanHold != 0 {
-		t.Fatalf("unbatched run must have zero hold, got %v", unbatched.MeanHold)
-	}
-
-	w.Clients = 1
-	w.RequestRate = 0.5 // lone requests: every batch waits out the deadline
-	w.BatchMax = 8
-	w.BatchWait = 10 * time.Millisecond
-	trickle, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trickle.MeanHold < 9*time.Millisecond || trickle.MeanHold > 10*time.Millisecond {
-		t.Fatalf("trickle hold %v, want ~BatchWait (10ms)", trickle.MeanHold)
-	}
-	// The hold is part of the wait, never beyond it.
-	if trickle.MeanHold > trickle.MeanWait {
-		t.Fatalf("hold %v exceeds wait %v", trickle.MeanHold, trickle.MeanWait)
-	}
-
-	// Under saturation batches fill before the deadline, so the mean hold
-	// stays below the full wait even though every request is held briefly.
-	w = baseWorkload()
-	w.Clients = 60
-	w.ServiceTime = 4 * time.Millisecond
-	w.SetupTime = 16 * time.Millisecond
-	w.BatchMax = 16
-	w.BatchWait = 2 * time.Millisecond
-	loaded, err := Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.MeanHold <= 0 {
-		t.Fatalf("batched run under load must hold requests, got %v", loaded.MeanHold)
-	}
-	if loaded.MeanHold > w.BatchWait {
-		t.Fatalf("hold %v exceeds the %v deadline", loaded.MeanHold, w.BatchWait)
+	for i, c := range cases {
+		got, err := Run(c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Fatalf("case %d:\n got %+v\nwant %+v", i, got, c.want)
+		}
 	}
 }

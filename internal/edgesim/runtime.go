@@ -1,12 +1,4 @@
-// Package collab implements the paper's collaborative inference runtime
-// (Algorithm 2): the mobile web browser executes the shared first
-// convolutional layer and the binary branch; when the normalized entropy of
-// the binary softmax clears the threshold the sample exits locally,
-// otherwise the intermediate tensor travels to the edge server, which runs
-// the rest of the main branch. Latency is attributed per stage using the
-// device and netsim cost models, and model-loading cost is amortized over a
-// session exactly as the paper's 100-sample averages are.
-package collab
+package edgesim
 
 import (
 	"fmt"
@@ -72,9 +64,9 @@ func (r Record) Total() time.Duration {
 // Comm returns the communication share of the sample's latency.
 func (r Record) Comm() time.Duration { return r.Uplink + r.Downlink }
 
-// Runtime executes Algorithm 2 over a trained composite. The same instance
-// serves both the in-process simulation used by the latency experiments and
-// the wire protocol used by the edge server and web client.
+// Runtime executes Algorithm 2 over a trained composite in process, for
+// the latency experiments; the served system runs the same decision in
+// internal/webclient and internal/edge.
 type Runtime struct {
 	Model *models.Composite
 	// Tau is the exit threshold picked by screening.
@@ -98,13 +90,13 @@ type Runtime struct {
 // bitwise the web client's; build the runtime after training.
 func NewRuntime(m *models.Composite, tau float64, cost CostModel) (*Runtime, error) {
 	if m == nil {
-		return nil, fmt.Errorf("collab: nil model")
+		return nil, fmt.Errorf("edgesim: nil model")
 	}
 	if tau < 0 || tau > 1 {
-		return nil, fmt.Errorf("collab: tau %v out of [0,1]", tau)
+		return nil, fmt.Errorf("edgesim: tau %v out of [0,1]", tau)
 	}
 	if cost.Link == nil {
-		return nil, fmt.Errorf("collab: cost model needs a link")
+		return nil, fmt.Errorf("edgesim: cost model needs a link")
 	}
 	return &Runtime{Model: m, Tau: tau, Cost: cost, branch: binary.PackBranch(m.CloneForInference().Binary)}, nil
 }
@@ -190,7 +182,7 @@ type SessionStats struct {
 // once and its cost amortized across the session.
 func (rt *Runtime) RunSession(ds *dataset.Dataset, n int) (SessionStats, error) {
 	if n <= 0 || n > ds.Len() {
-		return SessionStats{}, fmt.Errorf("collab: session size %d out of range (dataset has %d)", n, ds.Len())
+		return SessionStats{}, fmt.Errorf("edgesim: session size %d out of range (dataset has %d)", n, ds.Len())
 	}
 	st := SessionStats{N: n, ModelLoad: rt.ModelLoadTime()}
 	var totalLat, totalComm, totalCompute, totalMC, totalMS time.Duration

@@ -2,9 +2,9 @@ package exitpolicy
 
 // controller.go closes the loop the paper leaves open: Algorithm 2 screens
 // tau offline on a balanced validation set, but a deployed client sees
-// whatever class mix the camera points at, and the exitdrift experiment
-// shows the live exit rate sagging far below the screened figure under
-// skew. Controller tunes tau online from the same label-free signals the
+// whatever class mix the camera points at, and the exit rate under skew
+// sags far below the screened figure (internal/bench's exitloop experiment
+// prints that open-loop rate beside the one it converges to). Controller tunes tau online from the same label-free signals the
 // decision-telemetry layer already collects (DESIGN.md §11) — windowed
 // exit rate, binary-vs-main agreement, edge utilization — with three
 // safeguards that make the loop provably tame:

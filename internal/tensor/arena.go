@@ -1,6 +1,5 @@
 package tensor
 
-
 // Arena is a bump allocator for per-inference scratch: tensor data, tensor
 // headers, shape slices and kernel panel buffers are carved out of three
 // reusable slabs. A serving replica owns one arena, calls Reset at the
@@ -30,8 +29,8 @@ type Arena struct {
 	fOff   int
 	fNeed  int
 
-	ints []int
-	iOff int
+	ints  []int
+	iOff  int
 	iNeed int
 
 	hdrs  []Tensor

@@ -15,13 +15,13 @@ var gemmBenchShapes = []struct {
 	tag     string
 	m, k, n int
 }{
-	{"conv2-fwd", 192, 576, 256},  // conv2 forward: (OutC x K) x (K x P)
-	{"conv3-fwd", 384, 1728, 64},  // conv3 forward at 8x8 spatial
-	{"conv4-fwd", 256, 3456, 64},  // conv4 forward
-	{"conv5-fwd", 256, 2304, 64},  // conv5 forward
-	{"conv2-dW", 192, 256, 576},   // conv2 dW: (OutC x P) x (P x K)
-	{"conv5-dW", 256, 16, 2304},   // conv5 dW at 4x4 spatial
-	{"fc7-dX", 32, 3000, 3000},    // fc7 dX: (N x Out) x (Out x In)
+	{"conv2-fwd", 192, 576, 256}, // conv2 forward: (OutC x K) x (K x P)
+	{"conv3-fwd", 384, 1728, 64}, // conv3 forward at 8x8 spatial
+	{"conv4-fwd", 256, 3456, 64}, // conv4 forward
+	{"conv5-fwd", 256, 2304, 64}, // conv5 forward
+	{"conv2-dW", 192, 256, 576},  // conv2 dW: (OutC x P) x (P x K)
+	{"conv5-dW", 256, 16, 2304},  // conv5 dW at 4x4 spatial
+	{"fc7-dX", 32, 3000, 3000},   // fc7 dX: (N x Out) x (Out x In)
 }
 
 // BenchmarkMatMulInto compares the dispatching kernel against the pinned

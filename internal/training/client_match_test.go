@@ -5,8 +5,8 @@ import (
 	"sort"
 	"testing"
 
-	"lcrs/internal/collab"
 	"lcrs/internal/dataset"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/modelio"
 	"lcrs/internal/models"
@@ -57,7 +57,7 @@ func clientAnswers(t *testing.T, arch string, m *models.Composite, ds *dataset.D
 }
 
 // The binary numbers the paper tables report (EvaluateBranches, Table I and
-// screening) and the ones the latency runtime acts on (collab.Runtime,
+// screening) and the ones the latency runtime acts on (edgesim.Runtime,
 // Table II/III) must be the web client's, bit for bit. Random-init models
 // are the hard case: their XNOR dot products are often exactly 0, which the
 // packed engine and the float-shadow forward resolve differently.
@@ -101,7 +101,7 @@ func TestEvaluateBranchesMatchesClient(t *testing.T) {
 			sorted := append([]float64(nil), ev.Entropies...)
 			sort.Float64s(sorted)
 			tau := sorted[samples/2]
-			rt, err := collab.NewRuntime(m, tau, collab.DefaultCostModel())
+			rt, err := edgesim.NewRuntime(m, tau, edgesim.DefaultCostModel())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,7 @@ package webclient
 import (
 	"time"
 
-	"lcrs/internal/edge"
+	"lcrs/internal/collab"
 )
 
 // StageTimes is the client's view of one recognition's latency
@@ -53,7 +53,7 @@ func (s StageTimes) Network() time.Duration {
 // mergeEcho fills the edge-side stages from a server echo, as this
 // sample's share of a request that carried n samples; a nil echo
 // (pre-tracing server) leaves them zero.
-func (s *StageTimes) mergeEcho(sm *edge.StageMicros, n int) {
+func (s *StageTimes) mergeEcho(sm *collab.StageMicros, n int) {
 	if sm == nil {
 		return
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"lcrs/internal/edge"
+	"lcrs/internal/collab"
 )
 
 // TestRecognizeStages pins Result.Stages on both Algorithm 2 paths and the
@@ -46,13 +46,13 @@ func TestRecognizeStages(t *testing.T) {
 	t.Run("mergeEcho", func(t *testing.T) {
 		for _, tc := range []struct {
 			name string
-			echo *edge.StageMicros
+			echo *collab.StageMicros
 			n    int
 			want StageTimes
 		}{
 			{"nil echo", nil, 1, StageTimes{}},
-			{"split over 3", &edge.StageMicros{Forward: 900}, 3, StageTimes{EdgeForward: 300 * time.Microsecond}},
-			{"every stage", &edge.StageMicros{Read: 1, Decode: 2, Queue: 3, BatchWait: 4, Forward: 5}, 1, StageTimes{
+			{"split over 3", &collab.StageMicros{Forward: 900}, 3, StageTimes{EdgeForward: 300 * time.Microsecond}},
+			{"every stage", &collab.StageMicros{Read: 1, Decode: 2, Queue: 3, BatchWait: 4, Forward: 5}, 1, StageTimes{
 				EdgeRead: time.Microsecond, EdgeDecode: 2 * time.Microsecond, EdgeQueue: 3 * time.Microsecond,
 				EdgeBatchWait: 4 * time.Microsecond, EdgeForward: 5 * time.Microsecond,
 			}},

@@ -166,7 +166,7 @@ func TestTauUpdateNeverMixesWithinDecision(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(edge.InferResponse{Pred: 0})
+		json.NewEncoder(w).Encode(collab.InferResponse{Pred: 0})
 	}))
 	defer verify.Close()
 	c.base = verify.URL

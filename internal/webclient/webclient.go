@@ -20,7 +20,6 @@ import (
 
 	"lcrs/internal/binary"
 	"lcrs/internal/collab"
-	"lcrs/internal/edge"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/modelio"
 	"lcrs/internal/models"
@@ -104,7 +103,7 @@ type Client struct {
 }
 
 // Models fetches the server's hosted model listing.
-func (c *Client) Models(ctx context.Context) ([]edge.ModelInfo, error) {
+func (c *Client) Models(ctx context.Context) ([]collab.ModelInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/models", nil)
 	if err != nil {
 		return nil, fmt.Errorf("webclient: %w", err)
@@ -117,7 +116,7 @@ func (c *Client) Models(ctx context.Context) ([]edge.ModelInfo, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("webclient: list models: status %s", resp.Status)
 	}
-	var out []edge.ModelInfo
+	var out []collab.ModelInfo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("webclient: decode model list: %w", err)
 	}
@@ -629,10 +628,10 @@ func (c *Client) refundExits(tel *collab.Telemetry) {
 // id, when non-empty, travels as the X-Request-ID correlation header; a
 // trace parent with a non-empty ID travels as X-LCRS-Trace, carrying the
 // client-side stage timings for the edge's span waterfall.
-func (c *Client) edgeInfer(ctx context.Context, body io.Reader, id string, tp collab.TraceParent) (edge.InferResponse, error) {
+func (c *Client) edgeInfer(ctx context.Context, body io.Reader, id string, tp collab.TraceParent) (collab.InferResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/infer/"+c.modelName, body)
 	if err != nil {
-		return edge.InferResponse{}, fmt.Errorf("webclient: %w", err)
+		return collab.InferResponse{}, fmt.Errorf("webclient: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if id != "" {
@@ -646,20 +645,20 @@ func (c *Client) edgeInfer(ctx context.Context, body io.Reader, id string, tp co
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return edge.InferResponse{}, fmt.Errorf("webclient: edge inference: %w", err)
+		return collab.InferResponse{}, fmt.Errorf("webclient: edge inference: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusConflict {
-		return edge.InferResponse{}, fmt.Errorf("%w: edge serves version %s, bundle is %s",
+		return collab.InferResponse{}, fmt.Errorf("%w: edge serves version %s, bundle is %s",
 			ErrVersionConflict, resp.Header.Get(collab.ModelVersionHeader), c.bundleVersion)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return edge.InferResponse{}, fmt.Errorf("webclient: edge inference: status %s: %s", resp.Status, msg)
+		return collab.InferResponse{}, fmt.Errorf("webclient: edge inference: status %s: %s", resp.Status, msg)
 	}
-	var ir edge.InferResponse
+	var ir collab.InferResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		return edge.InferResponse{}, fmt.Errorf("webclient: decode inference response: %w", err)
+		return collab.InferResponse{}, fmt.Errorf("webclient: decode inference response: %w", err)
 	}
 	return ir, nil
 }

@@ -21,10 +21,10 @@ import (
 	"io"
 
 	"lcrs/internal/binary"
-	"lcrs/internal/collab"
 	"lcrs/internal/dataset"
 	"lcrs/internal/device"
 	"lcrs/internal/edge"
+	"lcrs/internal/edgesim"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/modelio"
 	"lcrs/internal/models"
@@ -66,13 +66,13 @@ type (
 // Runtime types.
 type (
 	// Runtime executes collaborative inference (Algorithm 2).
-	Runtime = collab.Runtime
+	Runtime = edgesim.Runtime
 	// CostModel bundles device profiles and the network link.
-	CostModel = collab.CostModel
+	CostModel = edgesim.CostModel
 	// SessionStats aggregates a session of inferences.
-	SessionStats = collab.SessionStats
+	SessionStats = edgesim.SessionStats
 	// InferenceRecord is one sample's latency breakdown.
-	InferenceRecord = collab.Record
+	InferenceRecord = edgesim.Record
 	// ExitStats summarizes an exit threshold's behaviour.
 	ExitStats = exitpolicy.Stats
 	// Link is a simulated network link profile.
@@ -177,13 +177,13 @@ func ScreenThresholdAccuracyPreserving(ev Evaluation) (float64, ExitStats) {
 
 // DefaultCostModel is the paper's evaluation environment: mobile web
 // browser, Xeon edge server, 4G link.
-func DefaultCostModel() CostModel { return collab.DefaultCostModel() }
+func DefaultCostModel() CostModel { return edgesim.DefaultCostModel() }
 
 // NewRuntime builds an Algorithm 2 runtime over a trained model. It packs
 // the binary branch once, so its exit decisions and binary answers are
 // bitwise the web client's.
 func NewRuntime(m *Model, tau float64, cost CostModel) (*Runtime, error) {
-	return collab.NewRuntime(m, tau, cost)
+	return edgesim.NewRuntime(m, tau, cost)
 }
 
 // SaveModel writes a full checkpoint of m.
