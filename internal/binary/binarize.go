@@ -84,7 +84,7 @@ func WeightGradThrough(grad, dEst, w *tensor.Tensor, alphas []float32) {
 			if wi >= -1 && wi <= 1 {
 				factor += a
 			}
-			gr[i] += de[i] * factor
+			gr[i] += float32(de[i] * factor)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func InputScalesInto(dst, aplane []float32, g tensor.ConvGeom, img []float32) {
 	for c := 0; c < g.InC; c++ {
 		plane := img[c*inHW : (c+1)*inHW][:len(a)]
 		for i, v := range plane {
-			a[i] += magnitude(v) * invC
+			a[i] += float32(magnitude(v) * invC)
 		}
 	}
 	outH, outW := g.OutH(), g.OutW()

@@ -7,28 +7,23 @@ import (
 	"lcrs/internal/tensor"
 )
 
-// PackedBranch is the deployment-time executor for a binary branch: every
-// binary layer is bit-packed (XNOR+popcount kernels) and interleaved float
-// layers (pooling, batch norm, the final classifier) run as-is in inference
-// mode. This is the role the paper's C++-to-WASM library plays inside the
-// mobile web browser. The packed layers keep eval scratch, so a branch runs
-// one Forward at a time.
+// PackedBranch is the deployment form of a binary branch: one flat,
+// eval-only nn.Sequential whose binary layers are PackedLayers (XNOR+popcount
+// kernels) and whose float layers (pooling, batch norm, the final
+// classifier) run as they are — the shape models.BuildClient builds. This
+// is the role the paper's C++-to-WASM library plays inside the mobile web
+// browser. The packed layers keep eval scratch, so a branch runs one
+// Forward at a time.
 type PackedBranch struct {
-	stages []packedStage
-}
-
-type packedStage struct {
-	conv   *PackedConv2D
-	linear *PackedLinear
-	float  nn.Layer
+	seq *nn.Sequential
 }
 
 // PackBranch converts a trained binary branch (a Sequential mixing
-// binary.Conv2D/binary.Linear with float layers) into its packed executor.
+// binary.Conv2D/binary.Linear with float layers) into its packed form.
 // Layers that are packed already (PackedLayer, as models.BuildClient builds
 // them) are taken as they are: nothing is packed a second time.
 func PackBranch(seq *nn.Sequential) *PackedBranch {
-	pb := &PackedBranch{}
+	flat := nn.NewSequential(seq.Name())
 	nn.Walk(seq, func(l nn.Layer) {
 		switch t := l.(type) {
 		case *nn.Sequential:
@@ -38,31 +33,19 @@ func PackBranch(seq *nn.Sequential) *PackedBranch {
 			// packed executor; the paper's branches are purely sequential.
 			panic("binary: PackBranch does not support residual blocks")
 		case *Conv2D:
-			pb.stages = append(pb.stages, packedStage{conv: PackConv2D(t)})
+			flat.Append(PackedLayer{Conv: PackConv2D(t)})
 		case *Linear:
-			pb.stages = append(pb.stages, packedStage{linear: PackLinear(t)})
-		case PackedLayer:
-			pb.stages = append(pb.stages, packedStage{conv: t.Conv, linear: t.Linear})
+			flat.Append(PackedLayer{Linear: PackLinear(t)})
 		default:
-			pb.stages = append(pb.stages, packedStage{float: l})
+			flat.Append(l)
 		}
 	})
-	return pb
+	return &PackedBranch{seq: flat}
 }
 
 // Forward runs the packed branch on a batch (NCHW or (batch, features)).
 func (pb *PackedBranch) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, st := range pb.stages {
-		switch {
-		case st.conv != nil:
-			x = st.conv.Forward(x)
-		case st.linear != nil:
-			x = st.linear.Forward(x)
-		default:
-			x = st.float.Forward(x, false)
-		}
-	}
-	return x
+	return pb.seq.Forward(x, false)
 }
 
 // SizeBytes returns the deployed footprint of the branch: packed bits for
@@ -70,36 +53,32 @@ func (pb *PackedBranch) Forward(x *tensor.Tensor) *tensor.Tensor {
 // the float layers.
 func (pb *PackedBranch) SizeBytes() int64 {
 	var total int64
-	for _, st := range pb.stages {
-		switch {
-		case st.conv != nil:
-			total += st.conv.SizeBytes()
-		case st.linear != nil:
-			total += st.linear.SizeBytes()
-		default:
-			for _, p := range st.float.Params() {
-				total += int64(p.Value.Len()) * 4
-			}
-			if bn, ok := st.float.(*nn.BatchNorm); ok {
-				total += int64(bn.RunningMean.Len()+bn.RunningVar.Len()) * 4
-			}
+	for _, l := range pb.seq.Layers {
+		if p, ok := l.(PackedLayer); ok {
+			total += p.SizeBytes()
+			continue
+		}
+		for _, p := range l.Params() {
+			total += int64(p.Value.Len()) * 4
+		}
+		if bn, ok := l.(*nn.BatchNorm); ok {
+			total += int64(bn.RunningMean.Len()+bn.RunningVar.Len()) * 4
 		}
 	}
 	return total
 }
 
-// Stages returns the number of executable stages, for diagnostics.
-func (pb *PackedBranch) Stages() int { return len(pb.stages) }
+// Stages returns the number of layers the branch runs, for diagnostics.
+func (pb *PackedBranch) Stages() int { return len(pb.seq.Layers) }
 
 // String summarizes the branch composition.
 func (pb *PackedBranch) String() string {
-	packed, float := 0, 0
-	for _, st := range pb.stages {
-		if st.float == nil {
+	packed := 0
+	for _, l := range pb.seq.Layers {
+		if _, ok := l.(PackedLayer); ok {
 			packed++
-		} else {
-			float++
 		}
 	}
-	return fmt.Sprintf("PackedBranch{%d packed + %d float stages, %d bytes}", packed, float, pb.SizeBytes())
+	return fmt.Sprintf("PackedBranch{%d packed + %d float stages, %d bytes}",
+		packed, len(pb.seq.Layers)-packed, pb.SizeBytes())
 }

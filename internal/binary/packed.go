@@ -24,20 +24,16 @@ type PackedConv2D struct {
 	Bias   []float32     // per-filter bias
 	W      *PackedMatrix // OutC rows of InC*KH*KW bits
 
-	// Eval state: g is the geometry and img the sample in flight; signRows
-	// holds the image's padded row sign bitmaps (InC x padH rows of
-	// rowWords words), gemm.X its packed receptive fields, gemm.Scale its
-	// K plane and aplane the channel-mean |x| plane behind it. The buffers
-	// grow to the largest image seen and are reused; arena, when set,
-	// serves the output tensor.
-	g                    tensor.ConvGeom
-	padH, rowWords       int
-	img                  []float32
-	signRows             []uint64
-	aplane               []float32
-	gemm                 xnorGEMM
-	rowsKern, fieldsKern func(lo, hi int)
-	arena                *tensor.Arena
+	// Eval state: signRows holds the image's padded row sign bitmaps (InC x
+	// padH rows of rowWords words), gemm.X its packed receptive fields,
+	// gemm.Scale its K plane and aplane the channel-mean |x| plane behind
+	// it. The buffers grow to the largest image seen and are reused; arena,
+	// when set, serves the output tensor.
+	padH, rowWords int
+	signRows       []uint64
+	aplane         []float32
+	gemm           xnorGEMM
+	arena          *tensor.Arena
 }
 
 // NewPackedConv2D builds a packed convolution from its geometry alone, with
@@ -97,7 +93,9 @@ func (p *PackedConv2D) SizeBytes() int64 {
 // Forward runs the packed XNOR convolution on a float NCHW input,
 // binarizing the input on the fly with the K scaling matrix (Eq. 4).
 //
-// Per image, three passes, each split across tensor.ParallelFor:
+// Per image, three passes, all on the calling goroutine — at batch 1 the
+// XNOR+popcount work is too small for a fan-out to pay, and a browser tab
+// runs one thread anyway:
 //  1. every input row is packed once into a sign bitmap of its padded
 //     width, the padding packed as the +1 that sign(0) gives the zeros
 //     Im2Col would read;
@@ -116,20 +114,19 @@ func (p *PackedConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.prepare(g)
 	sample, plane := g.InC*g.InH*g.InW, p.OutC*outH*outW
 	for i := 0; i < n; i++ {
-		p.img = x.Data[i*sample : (i+1)*sample]
+		img := x.Data[i*sample : (i+1)*sample]
 		p.gemm.Dst = out.Data[i*plane : (i+1)*plane]
-		tensor.ParallelFor(g.InC, p.rowsKern)
-		InputScalesInto(p.gemm.Scale, p.aplane, g, p.img)
-		tensor.ParallelFor(outH, p.fieldsKern)
-		tensor.ParallelFor(p.gemm.blocks(), p.gemm.body())
+		p.packRows(g, img)
+		InputScalesInto(p.gemm.Scale, p.aplane, g, img)
+		p.packFields(g)
+		p.gemm.run()
 	}
-	p.img, p.gemm.Dst = nil, nil
+	p.gemm.Dst = nil
 	return out
 }
 
 // prepare sizes the eval state for geometry g.
 func (p *PackedConv2D) prepare(g tensor.ConvGeom) {
-	p.g = g
 	p.padH = g.InH + 2*g.Pad
 	// One word past the padded width lets bitsAt read a chunk's second word
 	// unconditionally.
@@ -142,16 +139,13 @@ func (p *PackedConv2D) prepare(g tensor.ConvGeom) {
 	m.X = grow(m.X, positions*p.W.WordsPerRow)
 	m.Scale = grow(m.Scale, positions)
 	m.OS, m.JS = positions, 1
-	if p.rowsKern == nil {
-		p.rowsKern, p.fieldsKern = p.packRows, p.packFields
-	}
 }
 
-// packRows writes the padded row sign bitmaps of input channels [lo, hi).
-func (p *PackedConv2D) packRows(lo, hi int) {
-	g := p.g
-	for c := lo; c < hi; c++ {
-		plane := p.img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+// packRows writes the padded row sign bitmaps of every input channel of
+// img.
+func (p *PackedConv2D) packRows(g tensor.ConvGeom, img []float32) {
+	for c := 0; c < g.InC; c++ {
+		plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		rows := p.signRows[c*p.padH*p.rowWords : (c+1)*p.padH*p.rowWords]
 		for y := 0; y < p.padH; y++ {
 			row := rows[y*p.rowWords : (y+1)*p.rowWords]
@@ -165,17 +159,17 @@ func (p *PackedConv2D) packRows(lo, hi int) {
 	}
 }
 
-// packFields assembles the receptive fields of output rows [lo, hi), one
-// row of WordsPerRow words per position: field bit j = c*KH*KW + ky*KW + kx
-// holds the sign of padded input pixel (c, oy*Stride+ky, ox*Stride+kx). The
-// loops run chunk-major: for each (c, ky) the KW-bit chunk of every
-// position is ORed in at the same offset j, so the row, the offset and the
-// mask stay fixed while the positions stream past, and one 64-bit window of
-// the row serves every position whose chunk lies inside it.
-func (p *PackedConv2D) packFields(lo, hi int) {
-	g, rw := p.g, p.rowWords
-	outW, wpr, s := g.OutW(), p.W.WordsPerRow, g.Stride
-	fields := p.gemm.X[lo*outW*wpr : hi*outW*wpr]
+// packFields assembles the receptive fields, one row of WordsPerRow words
+// per output position: field bit j = c*KH*KW + ky*KW + kx holds the sign of
+// padded input pixel (c, oy*Stride+ky, ox*Stride+kx). The loops run
+// chunk-major: for each (c, ky) the KW-bit chunk of every position is ORed
+// in at the same offset j, so the row, the offset and the mask stay fixed
+// while the positions stream past, and one 64-bit window of the row serves
+// every position whose chunk lies inside it.
+func (p *PackedConv2D) packFields(g tensor.ConvGeom) {
+	rw := p.rowWords
+	outH, outW, wpr, s := g.OutH(), g.OutW(), p.W.WordsPerRow, g.Stride
+	fields := p.gemm.X
 	clear(fields)
 	j := 0
 	for c := 0; c < g.InC; c++ {
@@ -187,10 +181,10 @@ func (p *PackedConv2D) packFields(lo, hi int) {
 				wj, sh := j>>6, uint(j&63)
 				spill := int(sh)+width > 64 // the chunk's high bits go to word wj+1
 				per := (64-width)/s + 1     // chunks one window holds
-				for oy := lo; oy < hi; oy++ {
+				for oy := 0; oy < outH; oy++ {
 					y := oy*s + ky
 					row := rows[y*rw : (y+1)*rw]
-					f := fields[(oy-lo)*outW*wpr+wj : (oy-lo+1)*outW*wpr]
+					f := fields[oy*outW*wpr+wj : (oy+1)*outW*wpr]
 					for ox0 := 0; ox0 < outW; ox0 += per {
 						v := bitsAt(row, ox0*s+kx)
 						for k := ox0 * wpr; k < min(outW, ox0+per)*wpr; k += wpr {
@@ -299,8 +293,8 @@ func (p *PackedLinear) SizeBytes() int64 {
 }
 
 // Forward runs the packed XNOR dense layer on (batch, In) float input:
-// every row is packed once, then xnorGEMM splits the outputs across
-// tensor.ParallelFor, each block of weight rows meeting every input row.
+// every row is packed once, then xnorGEMM meets every block of weight rows
+// with every input row.
 func (p *PackedLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != p.In {
 		panic(fmt.Sprintf("binary: %s expects (batch,%d) input, got %v", p.Name, p.In, x.Shape))
@@ -318,7 +312,7 @@ func (p *PackedLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 		PackSigns(m.X[i*wpr:(i+1)*wpr], row)
 	}
 	m.Dst, m.OS, m.JS = out.Data, 1, p.Out
-	tensor.ParallelFor(m.blocks(), m.body())
+	m.run()
 	m.Dst = nil
 	return out
 }

@@ -176,8 +176,6 @@ func convCases(r *rand.Rand) []convCase {
 }
 
 func TestPackedConvMatchesOracleBitwise(t *testing.T) {
-	prev := tensor.SetMaxWorkers(3) // uneven chunks of channels, positions and filter blocks
-	defer tensor.SetMaxWorkers(prev)
 	r := rand.New(rand.NewSource(27))
 	for i, c := range convCases(r) {
 		name := fmt.Sprintf("case %d %+v", i, c)
@@ -196,8 +194,6 @@ func TestPackedConvMatchesOracleBitwise(t *testing.T) {
 }
 
 func TestPackedLinearMatchesOracleBitwise(t *testing.T) {
-	prev := tensor.SetMaxWorkers(3)
-	defer tensor.SetMaxWorkers(prev)
 	r := rand.New(rand.NewSource(28))
 	for i, in := range []int{1, 37, 63, 64, 65, 130, 200} {
 		out, n := 1+r.Intn(11), 1+r.Intn(3)

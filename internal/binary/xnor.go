@@ -13,8 +13,7 @@ import "lcrs/internal/tensor"
 // past once per block; the last W.Rows%4 rows call XnorDot itself. A dot
 // is an integer, so neither the blocking nor the word order can change it,
 // and the epilogue is the per-element expression of a single XnorDot, term
-// for term: results are bitwise those of one XnorDot per element, at any
-// worker count.
+// for term: results are bitwise those of one XnorDot per element.
 type xnorGEMM struct {
 	W           *PackedMatrix
 	Alpha, Bias []float32
@@ -22,31 +21,15 @@ type xnorGEMM struct {
 	Scale       []float32 // one per input row: K_p for a conv, beta for a dense layer
 	Dst         []float32
 	OS, JS      int // Dst strides of an output row and of an input row
-
-	kern func(lo, hi int) // blocks, the ParallelFor body: made once
 }
 
-// blocks returns how many ParallelFor units (four weight rows each) run
-// covers.
-func (m *xnorGEMM) blocks() int { return (m.W.Rows + 3) / 4 }
-
-// body returns run as a method value created on first use, so steady-state
-// forwards hand ParallelFor no fresh closure.
-func (m *xnorGEMM) body() func(lo, hi int) {
-	if m.kern == nil {
-		m.kern = m.run
-	}
-	return m.kern
-}
-
-// run computes weight-row blocks [lo, hi).
-func (m *xnorGEMM) run(lo, hi int) {
+// run computes every output, on the calling goroutine.
+func (m *xnorGEMM) run() {
 	wpr, n, os, js := m.W.WordsPerRow, m.W.N, m.OS, m.JS
-	end := min(hi*4, m.W.Rows)
 	// Counts for up to xnorTile input rows at a time, on the stack.
 	var counts [4 * xnorTile]int32
-	o := lo * 4
-	for ; o+4 <= end; o += 4 {
+	o := 0
+	for ; o+4 <= m.W.Rows; o += 4 {
 		w := m.W.Words[o*wpr : (o+4)*wpr]
 		for j0 := 0; j0 < len(m.Scale); j0 += xnorTile {
 			j1 := min(j0+xnorTile, len(m.Scale))
@@ -55,17 +38,17 @@ func (m *xnorGEMM) run(lo, hi int) {
 				a, b := m.Alpha[o+r], m.Bias[o+r]
 				d, k := m.Dst[(o+r)*os+j0*js:], 0
 				for j, sc := range m.Scale[j0:j1] {
-					d[k] = a*sc*float32(n-2*int(counts[4*j+r])) + b
+					d[k] = float32(a*sc*float32(n-2*int(counts[4*j+r]))) + b
 					k += js
 				}
 			}
 		}
 	}
-	for ; o < end; o++ {
+	for ; o < m.W.Rows; o++ {
 		w := m.W.Words[o*wpr : (o+1)*wpr]
 		a, b := m.Alpha[o], m.Bias[o]
 		for j, sc := range m.Scale {
-			m.Dst[o*os+j*js] = a*sc*float32(XnorDot(w, m.X[j*wpr:(j+1)*wpr], n)) + b
+			m.Dst[o*os+j*js] = float32(a*sc*float32(XnorDot(w, m.X[j*wpr:(j+1)*wpr], n))) + b
 		}
 	}
 }

@@ -20,7 +20,7 @@ func NormalizedEntropy(probs []float32) float64 {
 	var h float64
 	for _, p := range probs {
 		if p > 0 {
-			h -= float64(p) * math.Log(float64(p))
+			h -= float64(float64(p) * math.Log(float64(p)))
 		}
 	}
 	return h / math.Log(float64(len(probs)))

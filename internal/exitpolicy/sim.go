@@ -105,8 +105,8 @@ func RampEntropies(n int, lo, hi float64) []float64 {
 	const phi = 0.6180339887498949 // 1/φ, the lowest-discrepancy Weyl stride
 	es := make([]float64, n)
 	for i := range es {
-		f := float64(i) * phi
-		es[i] = lo + (hi-lo)*(f-math.Floor(f))
+		f := float64(float64(i) * phi)
+		es[i] = lo + float64((hi-lo)*(f-math.Floor(f)))
 	}
 	return es
 }

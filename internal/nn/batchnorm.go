@@ -113,10 +113,10 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for c := 0; c < bn.C; c++ {
 			invStd := float32(1 / math.Sqrt(float64(bn.RunningVar.Data[c])+float64(bn.Eps)))
 			scale := bn.Gamma.Value.Data[c] * invStd
-			shift := bn.Beta.Value.Data[c] - bn.RunningMean.Data[c]*scale
+			shift := bn.Beta.Value.Data[c] - float32(bn.RunningMean.Data[c]*scale)
 			bn.forEachChannelPair(x, out, perChan, c, func(src, dst []float32) {
 				for i, v := range src {
-					dst[i] = v*scale + shift
+					dst[i] = float32(v*scale) + shift
 				}
 			})
 		}
@@ -137,7 +137,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		mu := float64(mean[c])
 		for _, v := range block {
 			d := float64(v) - mu
-			s += d * d
+			s += float64(d * d)
 		}
 		variance[c] += float32(s / m)
 	})
@@ -145,8 +145,8 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	invStd := make([]float32, bn.C)
 	for c := 0; c < bn.C; c++ {
 		invStd[c] = float32(1 / math.Sqrt(float64(variance[c])+float64(bn.Eps)))
-		bn.RunningMean.Data[c] = (1-bn.Momentum)*bn.RunningMean.Data[c] + bn.Momentum*mean[c]
-		bn.RunningVar.Data[c] = (1-bn.Momentum)*bn.RunningVar.Data[c] + bn.Momentum*variance[c]
+		bn.RunningMean.Data[c] = float32((1-bn.Momentum)*bn.RunningMean.Data[c]) + float32(bn.Momentum*mean[c])
+		bn.RunningVar.Data[c] = float32((1-bn.Momentum)*bn.RunningVar.Data[c]) + float32(bn.Momentum*variance[c])
 	}
 
 	out := tensor.New(x.Shape...)
@@ -158,7 +158,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for i, v := range src {
 				h := (v - mu) * is
 				xh[i] = h
-				dst[i] = g*h + b
+				dst[i] = float32(g*h) + b
 			}
 		})
 	}
@@ -207,7 +207,7 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			var sd, sdx float32
 			for i, v := range blk {
 				sd += v
-				sdx += v * xh[i]
+				sdx += float32(v * xh[i])
 			}
 			sumDy[c] += sd
 			sumDyXhat[c] += sdx
@@ -227,7 +227,7 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			xh := bn.lastXHat[base+c*perChan : base+(c+1)*perChan]
 			dst := dx.Data[base+c*perChan : base+(c+1)*perChan]
 			for i, dy := range blk {
-				dst[i] = coef * (m*dy - sumDy[c] - xh[i]*sumDyXhat[c])
+				dst[i] = coef * (float32(m*dy) - sumDy[c] - float32(xh[i]*sumDyXhat[c]))
 			}
 		}
 	}

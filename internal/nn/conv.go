@@ -157,7 +157,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				crow := cols[pos*k : (pos+1)*k]
 				var s float32
 				for j, wv := range wrow {
-					s += wv * crow[j]
+					s += float32(wv * crow[j])
 				}
 				plane[pos] = s + b
 			}

@@ -30,7 +30,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlo
 		}
 		row := probs.Row(i)
 		p := math.Max(float64(row[y]), 1e-12)
-		loss -= math.Log(p) * inv
+		loss -= float64(math.Log(p) * inv)
 		drow := dlogits.Row(i)
 		for j, pj := range row {
 			drow[j] = pj * float32(inv)

@@ -54,8 +54,8 @@ func (s *SGD) Step() {
 			v := s.velocity[i]
 			mu := float32(s.momentum)
 			for j := range v.Data {
-				v.Data[j] = mu*v.Data[j] + g.Data[j]
-				p.Value.Data[j] -= lr * v.Data[j]
+				v.Data[j] = float32(mu*v.Data[j]) + g.Data[j]
+				p.Value.Data[j] -= float32(lr * v.Data[j])
 			}
 		} else {
 			p.Value.AddScaled(-lr, g)
@@ -110,8 +110,8 @@ func (a *Adam) Step() {
 		g := p.EnsureGrad()
 		for j := range g.Data {
 			gj := g.Data[j]
-			m.Data[j] = b1*m.Data[j] + (1-b1)*gj
-			v.Data[j] = b2*v.Data[j] + (1-b2)*gj*gj
+			m.Data[j] = float32(b1*m.Data[j]) + float32((1-b1)*gj)
+			v.Data[j] = float32(b2*v.Data[j]) + float32((1-b2)*gj*gj)
 			p.Value.Data[j] -= float32(stepSize) * m.Data[j] /
 				(float32(math.Sqrt(float64(v.Data[j]))) + float32(a.eps))
 		}
@@ -160,7 +160,7 @@ func ClipGradients(params []*Param, maxNorm float64) float64 {
 			continue // never touched: contributes nothing, nothing to scale
 		}
 		for _, g := range p.Grad.Data {
-			ss += float64(g) * float64(g)
+			ss += float64(float64(g) * float64(g))
 		}
 	}
 	norm := math.Sqrt(ss)

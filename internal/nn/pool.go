@@ -306,7 +306,7 @@ func (a *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			plane := dx.Data[(b*c+ch)*inH*inW:]
 			for oy := 0; oy < outH; oy++ {
 				for ox := 0; ox < outW; ox++ {
-					gvp := dout.Data[oi] * inv
+					gvp := float32(dout.Data[oi] * inv)
 					for ky := 0; ky < a.K; ky++ {
 						iy := oy*a.Stride + ky
 						for kx := 0; kx < a.K; kx++ {

@@ -191,10 +191,10 @@ func TransBRange(dst, a, b *Tensor, jLo, jHi int) {
 			ar := ad[i*k:][:k]
 			var q0, q1, q2, q3 float32
 			for kk, av := range ar {
-				q0 += av * b0[kk]
-				q1 += av * b1[kk]
-				q2 += av * b2[kk]
-				q3 += av * b3[kk]
+				q0 += float32(av * b0[kk])
+				q1 += float32(av * b1[kk])
+				q2 += float32(av * b2[kk])
+				q3 += float32(av * b3[kk])
 			}
 			cr := cd[i*n+j : i*n+j+4]
 			cr[0], cr[1], cr[2], cr[3] = q0, q1, q2, q3
@@ -206,7 +206,7 @@ func TransBRange(dst, a, b *Tensor, jLo, jHi int) {
 			ar := ad[i*k:][:k]
 			var s float32
 			for kk, av := range ar {
-				s += av * br[kk]
+				s += float32(av * br[kk])
 			}
 			cd[i*n+j] = s
 		}

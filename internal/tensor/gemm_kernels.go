@@ -24,10 +24,10 @@ func kern4x8go(a0, a1, a2, a3, bp []float32, acc *[4][8]float32) {
 		av1, av2, av3 := a1[kk], a2[kk], a3[kk]
 		bb := bp[kk*8:][:8]
 		for j, bv := range bb {
-			t[0][j] += av0 * bv
-			t[1][j] += av1 * bv
-			t[2][j] += av2 * bv
-			t[3][j] += av3 * bv
+			t[0][j] += float32(av0 * bv)
+			t[1][j] += float32(av1 * bv)
+			t[2][j] += float32(av2 * bv)
+			t[3][j] += float32(av3 * bv)
 		}
 	}
 	*acc = t
@@ -41,7 +41,7 @@ func kern1x8go(a0, bp []float32, acc *[8]float32) {
 	for kk, av := range a0 {
 		bb := bp[kk*8:][:8]
 		for j, bv := range bb {
-			t[j] += av * bv
+			t[j] += float32(av * bv)
 		}
 	}
 	*acc = t

@@ -63,7 +63,7 @@ func (t *Tensor) Scale(s float32) *Tensor {
 func (t *Tensor) AddScaled(s float32, o *Tensor) {
 	checkSameLen("AddScaled", t, o)
 	for i := range t.Data {
-		t.Data[i] += s * o.Data[i]
+		t.Data[i] += float32(s * o.Data[i])
 	}
 }
 
@@ -169,14 +169,14 @@ func MatMulUnrolledInto(dst, a, b *Tensor) {
 			b2 := bd[(kk+2)*n : (kk+3)*n]
 			b3 := bd[(kk+3)*n : (kk+4)*n]
 			for j := range crow {
-				crow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				crow[j] += float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; kk < k; kk++ {
 			av := arow[kk]
 			brow := bd[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -218,7 +218,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 			}
 			crow := cd[i*n : (i+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -6,12 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// Shared worker pool for the numeric kernels. Convolution forward passes
-// split their output across ParallelFor; because every chunk writes a
-// disjoint region and each output element is accumulated in the same
-// sequential order regardless of chunking, parallel results are bitwise
-// identical to a single-threaded run (see the determinism tests in
-// internal/nn and internal/binary).
+// Shared worker pool for the float kernels. The GEMMs and float convolution
+// forward passes split their output across ParallelFor; because every chunk
+// writes a disjoint region and each output element is accumulated in the
+// same sequential order regardless of chunking, parallel results are
+// bitwise identical to a single-threaded run (see the determinism tests in
+// this package and internal/nn). The packed XNOR layers of internal/binary
+// run on the calling goroutine.
 
 var (
 	poolOnce    sync.Once

@@ -47,7 +47,7 @@ func (g *RNG) Uniform(lo, hi float32, shape ...int) *Tensor {
 	t := New(shape...)
 	span := hi - lo
 	for i := range t.Data {
-		t.Data[i] = lo + span*g.Float32()
+		t.Data[i] = lo + float32(span*g.Float32())
 	}
 	return t
 }
@@ -56,7 +56,7 @@ func (g *RNG) Uniform(lo, hi float32, shape ...int) *Tensor {
 func (g *RNG) Normal(mean, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
-		t.Data[i] = float32(mean + std*g.NormFloat64())
+		t.Data[i] = float32(mean + float64(std*g.NormFloat64()))
 	}
 	return t
 }

@@ -62,7 +62,7 @@ func TestRevalidateRefusesBadBundleAndKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, branch, version, etag := c.model, c.branch, c.bundleVersion, c.bundleETag
+	model, version, etag := c.model, c.bundleVersion, c.bundleETag
 
 	body := func(b []byte, declare bool) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -105,7 +105,7 @@ func TestRevalidateRefusesBadBundleAndKeepsServing(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
-		if c.model != model || c.branch != branch || c.bundleVersion != version || c.bundleETag != etag {
+		if c.model != model || c.bundleVersion != version || c.bundleETag != etag {
 			t.Fatalf("%s: a refused bundle replaced the installed model state", tc.name)
 		}
 		if c.cache.Len() != 1 {

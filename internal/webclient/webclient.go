@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lcrs/internal/binary"
 	"lcrs/internal/collab"
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/modelio"
@@ -48,7 +47,6 @@ type Client struct {
 
 	modelName string
 	model     *models.Composite
-	branch    *binary.PackedBranch // bit-packed executor for the binary branch
 	// bundleVersion/bundleETag identify the downloaded bundle: the edge's
 	// content-addressed model version and the ETag to revalidate with
 	// (If-None-Match → 304, zero body bytes, when unchanged).
@@ -199,7 +197,6 @@ func (c *Client) fetchBundle(ctx context.Context, name, arch string, cfg models.
 
 	c.modelName = name
 	c.model = m
-	c.branch = binary.PackBranch(m.Binary) // packed already: the layers are taken, not re-packed
 	c.bundleVersion = resp.Header.Get(collab.ModelVersionHeader)
 	c.bundleETag = resp.Header.Get("ETag")
 	c.loadBytes = want
@@ -428,9 +425,9 @@ func (c *Client) recognize(ctx context.Context, xs *tensor.Tensor, out []Result)
 	start := time.Now()
 	c.model.ResetScratch()
 	shared := c.model.ForwardShared(xs, false)
-	// The binary branch runs through the bit-packed XNOR executor — the
-	// code path the paper's WASM library accelerates in the browser.
-	logits := c.branch.Forward(shared)
+	// The client build's binary layers are packed: this is the XNOR engine
+	// the paper's WASM library runs in the browser.
+	logits := c.model.ForwardBinary(shared, false)
 	probs := tensor.Softmax(logits)
 	// One tau load per call: the same value feeds every exit test and the
 	// telemetry frame, so a concurrent SetTau/controller push cannot mix

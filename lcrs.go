@@ -199,12 +199,13 @@ func EncodeBrowserBundle(m *Model) ([]byte, error) { return modelio.EncodeBrowse
 // DecodeBrowserBundle restores a bundle into a same-architecture model.
 func DecodeBrowserBundle(data []byte, m *Model) error { return modelio.DecodeBrowserBundle(data, m) }
 
-// PackedBranch is the bit-packed deployment executor of a binary branch.
+// PackedBranch is the deployment form of a binary branch: the packed,
+// eval-only layer sequence the web client runs.
 type PackedBranch = binary.PackedBranch
 
 // PackBinaryBranch converts a trained model's binary branch into the
-// bit-packed XNOR executor the web client runs — the analogue of the
-// paper's WASM library.
+// bit-packed XNOR layers the web client runs — the analogue of the paper's
+// WASM library.
 func PackBinaryBranch(m *Model) *PackedBranch { return binary.PackBranch(m.Binary) }
 
 // NewEdgeServer creates an empty edge server with default configuration;
