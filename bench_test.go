@@ -3,6 +3,7 @@ package lcrs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -194,6 +195,32 @@ func BenchmarkClientExit(b *testing.B) {
 		if res, err := c.Recognize(ctx, x); err != nil || !res.Exited {
 			b.Fatalf("exit recognition: %+v, %v", res, err)
 		}
+	}
+}
+
+// BenchmarkMainRestBatch is the edge server's share of an offload: a
+// full-width AlexNet serving replica (arena scratch, warmed for the batch)
+// runs rest-of-main on a batch of conv1 outputs, as the micro-batcher
+// hands it one. ns/sample is what a batch buys per recognition; A/B it
+// with `go test -run=^$ -bench=MainRestBatch -count=6 .`.
+func BenchmarkMainRestBatch(b *testing.B) {
+	m, err := Build("alexnet", ModelConfig{Classes: 10, InC: 3, InH: 32, InW: 32, WidthScale: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
+			rep := m.CloneForServing()
+			rep.WarmMainRest(n)
+			x := tensor.NewRNG(5).Uniform(0, 1, append([]int{n}, m.SharedOutShape()...)...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep.ResetScratch()
+				rep.ForwardMainRest(x, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+		})
 	}
 }
 

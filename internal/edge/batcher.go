@@ -9,11 +9,12 @@ import (
 
 // Dynamic cross-request micro-batching. The replica pool (DESIGN.md §7)
 // lets many inferences run in parallel, but each request still pays its
-// own forward pass: per-layer loop overhead, ParallelFor fork/join per
-// layer, one scratch-buffer sweep per sample. Under the many-client
-// workload the paper's edge server exists for, concurrent requests for
-// the same model can instead share one batched ForwardMainRest — the
-// same amortization that makes XNOR-Net's kernels fast over large tiles.
+// own forward pass, and at batch 1 every FC layer streams its whole weight
+// matrix for one row. Under the many-client workload the paper's edge
+// server exists for, concurrent requests for the same model can instead
+// share one batched ForwardMainRest: its FC layers stream each weight row
+// once for up to eight rows, and its convolutions split across samples
+// with one fork/join per layer (DESIGN.md §9).
 //
 // A request that opts into coalescing parks on a channel; the per-model
 // batcher fires when the pending sample count reaches the size cap or a
@@ -92,7 +93,8 @@ func (b *batcher) close() {
 }
 
 // loop is the collect loop: it accumulates parked requests until the
-// sample cap is reached or the deadline (armed by the first request of a
+// sample cap is reached (never passed: a request that would overshoot it
+// starts the next batch) or the deadline (armed by the first request of a
 // batch) fires, then hands the batch to a runner goroutine and keeps
 // collecting. Forward concurrency stays bounded by the replica pool the
 // runners check out of.
@@ -120,11 +122,20 @@ func (b *batcher) loop() {
 			b.run(batch, n)
 		}()
 	}
+	// add queues r, first flushing the pending batch if r would push it
+	// past the cap: replicas are warmed for batches of at most max
+	// samples, and a larger forward would allocate.
+	add := func(r *batchRequest) {
+		if pendingN+r.t.Dim(0) > b.max {
+			flush()
+		}
+		pending = append(pending, r)
+		pendingN += r.t.Dim(0)
+	}
 	for {
 		select {
 		case r := <-b.reqCh:
-			pending = append(pending, r)
-			pendingN += r.t.Dim(0)
+			add(r)
 			if pendingN >= b.max {
 				flush()
 			} else if timer == nil {
@@ -142,8 +153,7 @@ func (b *batcher) loop() {
 			for {
 				select {
 				case r := <-b.reqCh:
-					pending = append(pending, r)
-					pendingN += r.t.Dim(0)
+					add(r)
 				default:
 					flush()
 					return

@@ -205,6 +205,74 @@ func TestBatcherOversizedRequestBypasses(t *testing.T) {
 	}
 }
 
+// The cap is a ceiling, not a trigger to overshoot: with max 4, a parked
+// request of 3 samples and a second of 3 must run as two forwards of 3
+// (the replicas were warmed for batches of at most 4), not one of 6.
+func TestBatcherNeverExceedsCap(t *testing.T) {
+	m := testModel(t)
+	s := newServer(t, WithBatching(4, time.Second))
+	if _, err := s.Register("lenet-mnist", m); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	g := tensor.NewRNG(12)
+	shared := make([]*tensor.Tensor, 2)
+	frames := make([][]byte, 2)
+	for i := range frames {
+		shared[i] = m.ForwardShared(g.Uniform(-1, 1, 3, 1, 28, 28), false)
+		var buf bytes.Buffer
+		if err := collab.WriteTensor(&buf, shared[i]); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = buf.Bytes()
+	}
+	got := make([]collab.InferResponse, 2)
+	var wg sync.WaitGroup
+	for i := range frames {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = postInfer(t, srv.URL+"/v1/infer/lenet-mnist", frames[i])
+		}(i)
+		// The first request parks before the second arrives, well inside
+		// its one-second deadline.
+		time.Sleep(100 * time.Millisecond)
+	}
+	wg.Wait()
+
+	for i, ir := range got {
+		logits := m.ForwardMainRest(shared[i], false)
+		want := argmaxRows(logits, 0, 3)
+		if len(ir.Preds) != len(want) {
+			t.Fatalf("request %d: preds %v, want %v", i, ir.Preds, want)
+		}
+		for j, p := range ir.Preds {
+			if p != want[j] {
+				t.Fatalf("request %d sample %d: pred %d, want %d", i, j, p, want[j])
+			}
+		}
+		probs := make([]float32, logits.Dim(1))
+		tensor.SoftmaxRow(probs, logits.Row(0))
+		for j, p := range ir.Probs {
+			if p != probs[j] {
+				t.Fatalf("request %d prob %d: %v, want %v (must be bitwise identical)", i, j, p, probs[j])
+			}
+		}
+	}
+	st := s.Stats()[0]
+	if st.Batches != 2 || st.BatchedRequests != 2 || st.CoalescedRequests != 0 {
+		t.Fatalf("want two uncoalesced forwards of 3: %+v", st)
+	}
+	for _, b := range st.BatchSizeHist {
+		if b.Le > 4 {
+			t.Fatalf("a forward of more than 4 samples ran: %+v", st.BatchSizeHist)
+		}
+	}
+}
+
 // Close during a long coalescing wait must flush parked requests
 // immediately — shutdown does not sit out the deadline — and later
 // requests still get answers through the direct path.

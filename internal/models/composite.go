@@ -160,12 +160,12 @@ func (m *Composite) ForwardMainRest(t *tensor.Tensor, train bool) *tensor.Tensor
 	return m.MainRest.Forward(t, train)
 }
 
-// WarmMainRest sizes the main-branch-rest scratch buffers (the conv
-// layers' im2col workspaces, which grow monotonically with batch size)
-// for batches of up to n samples by running one throwaway eval forward on
-// a zero batch. The edge server warms each inference replica this way
-// when micro-batching is enabled, so the first coalesced batch pays no
-// allocations.
+// WarmMainRest sizes the main-branch-rest scratch (the arena slabs, which
+// hold the conv pack panels, one per worker, and the FC input panels, and
+// the conv layers' per-worker GEMM states) for batches of up to n samples
+// by running one throwaway eval forward on a zero batch. The edge server
+// warms each inference replica this way for its batch cap, so the first
+// coalesced batch pays no allocations.
 func (m *Composite) WarmMainRest(n int) {
 	if n < 1 {
 		n = 1

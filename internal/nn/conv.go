@@ -25,17 +25,23 @@ type Conv2D struct {
 	lastCols  []float32
 	lastGeom  tensor.ConvGeom
 
-	// Eval-path state, reused across forwards: panel is the K x convNC
-	// pack buffer (persistent here, or carved from arena when one is
-	// installed), st the reusable fused-GEMM state, arena the serving
-	// replica's scratch arena (nil outside CloneForServing replicas).
-	// Layers are therefore not safe for concurrent Forward calls; callers
-	// that share a model across goroutines must either serialize or run
-	// each goroutine on its own CloneForInference copy (the edge server's
+	// Eval-path state, reused across forwards: panel holds the K x convNC
+	// pack buffers, one per group of samples a batch is split into
+	// (persistent here, or carved from arena when one is installed);
+	// states holds the fused-GEMM state of each group (grown once to the
+	// worker count; a single sample uses the first), kern the persistent
+	// ParallelFor body over the groups and evalIn/evalOut the batch it
+	// reads during one Forward call; arena is the serving replica's
+	// scratch arena (nil outside CloneForServing replicas). Layers are
+	// therefore not safe for concurrent Forward calls; callers that share
+	// a model across goroutines must either serialize or run each
+	// goroutine on its own CloneForInference copy (the edge server's
 	// replica pool does the latter).
-	panel []float32
-	st    tensor.ConvGemmState
-	arena *tensor.Arena
+	panel           []float32
+	states          []tensor.ConvGemmState
+	kern            func(lo, hi int)
+	evalIn, evalOut *tensor.Tensor
+	arena           *tensor.Arena
 }
 
 // SetArena implements ArenaScratch: eval outputs and the pack panel are
@@ -172,38 +178,68 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // never materialized. Per output element the accumulation is the same
 // single ascending-k chain plus one bias add as the training kernel above,
 // so eval and training outputs are bitwise identical (conv_fuse_test.go).
+// A single sample fans its output-channel strips out over the pool. A
+// batch instead splits across samples: one group of consecutive samples
+// per worker, each sample's whole GEMM run inline on its group's state and
+// panel, so a batched forward pays one fork/join per layer instead of one
+// per panel, and its scratch grows with the worker count, not the batch.
 // With an arena installed the pass performs no heap allocations at steady
 // state; samples are sliced from x.Data directly (x.Batch would allocate a
 // header per sample).
 func (c *Conv2D) forwardFused(x *tensor.Tensor, g tensor.ConvGeom, n, p, k, outH, outW int) *tensor.Tensor {
 	out := EvalTensor(c.arena, n, c.OutC, outH, outW)
+	groups := min(n, tensor.MaxWorkers())
 	need := tensor.ConvPanelLen(k, p)
-	var panel []float32
+	var panels []float32
 	if c.arena != nil {
-		panel = c.arena.Floats(need)
+		panels = c.arena.Floats(groups * need)
 	} else {
-		if cap(c.panel) < need {
-			c.panel = make([]float32, need)
+		if cap(c.panel) < groups*need {
+			c.panel = make([]float32, groups*need)
 		}
-		panel = c.panel[:need]
+		panels = c.panel[:groups*need]
 	}
-	st := &c.st
-	st.G = g
-	st.OutC = c.OutC
-	st.W = c.Weight.Value.Data
-	st.Bias = nil
+	var bias []float32
 	if c.UseBias {
-		st.Bias = c.Bias.Value.Data
+		bias = c.Bias.Value.Data
 	}
-	st.Panel = panel
-	sample := g.InC * g.InH * g.InW
-	plane := c.OutC * p
-	for i := 0; i < n; i++ {
-		st.Img = x.Data[i*sample : (i+1)*sample]
-		st.Out = out.Data[i*plane : (i+1)*plane]
+	if cap(c.states) < groups {
+		c.states = make([]tensor.ConvGemmState, groups)
+	}
+	c.states = c.states[:groups]
+	for i := range c.states {
+		st := &c.states[i]
+		st.G, st.OutC, st.W, st.Bias = g, c.OutC, c.Weight.Value.Data, bias
+		st.Panel = panels[i*need : (i+1)*need]
+	}
+	if n == 1 {
+		st := &c.states[0]
+		st.Img, st.Out = x.Data, out.Data
 		st.Run()
+		return out
 	}
+	if c.kern == nil {
+		c.kern = c.runGroups
+	}
+	c.evalIn, c.evalOut = x, out
+	tensor.ParallelFor(groups, c.kern)
+	c.evalIn, c.evalOut = nil, nil
 	return out
+}
+
+// runGroups is the batched ParallelFor body: sample groups [lo, hi), each
+// sample on the calling goroutine.
+func (c *Conv2D) runGroups(lo, hi int) {
+	n, groups := c.evalIn.Dim(0), len(c.states)
+	sample, plane := c.evalIn.Len()/n, c.evalOut.Len()/n
+	for gi := lo; gi < hi; gi++ {
+		st := &c.states[gi]
+		for i := gi * n / groups; i < (gi+1)*n/groups; i++ {
+			st.Img = c.evalIn.Data[i*sample : (i+1)*sample]
+			st.Out = c.evalOut.Data[i*plane : (i+1)*plane]
+			st.RunInline()
+		}
+	}
 }
 
 // Backward implements Layer.

@@ -16,13 +16,18 @@ type Linear struct {
 
 	lastInput *tensor.Tensor
 
-	// Eval fast-path state: kern is the persistent ParallelFor body (a
-	// method value, created once so steady-state forwards do not allocate
-	// a closure), evalIn/evalOut the tensors it operates on during one
-	// Forward call, arena the serving replica's scratch arena (nil unless
-	// installed via SetArena).
+	// Eval fast-path state. A single row runs TransBRange over column
+	// chunks: kern is that persistent ParallelFor body (a method value,
+	// created once so steady-state forwards do not allocate a closure),
+	// evalIn/evalOut the tensors it operates on during one Forward call. A
+	// batch runs the batched GEMM state gemm, whose input panel is panel
+	// (persistent here, or carved from arena when one is installed). arena
+	// is the serving replica's scratch arena (nil unless installed via
+	// SetArena).
 	kern            func(lo, hi int)
 	evalIn, evalOut *tensor.Tensor
+	gemm            tensor.FCGemmState
+	panel           []float32
 	arena           *tensor.Arena
 }
 
@@ -76,11 +81,19 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects %d input features, got %d", l.name, l.In, x.Dim(1)))
 	}
 	if !train {
-		// Zero-alloc eval path: output from the arena (heap if none),
-		// columns computed by the persistent chunk body. Per element this
-		// is the same ascending-k dot product plus one bias add as the
-		// train path below, so results are bitwise identical to it.
-		out := EvalTensor(l.arena, x.Dim(0), l.Out)
+		// Zero-alloc eval path: output from the arena (heap if none). Per
+		// element this is the same ascending-k dot product plus one bias
+		// add as the train path below, so results are bitwise identical to
+		// it. A batch streams every weight row once for up to eight rows
+		// (tensor.FCGemmState); a single row keeps the column-chunked
+		// TransBRange, which reads its input once instead of through an
+		// eight-lane panel.
+		m := x.Dim(0)
+		out := EvalTensor(l.arena, m, l.Out)
+		if m >= 2 {
+			l.forwardBatch(x, out)
+			return out
+		}
 		if l.kern == nil {
 			l.kern = l.evalRange
 		}
@@ -114,6 +127,26 @@ func (l *Linear) evalRange(lo, hi int) {
 			row[j] += bd[j]
 		}
 	}
+}
+
+// forwardBatch is the eval forward of two or more rows.
+func (l *Linear) forwardBatch(x, out *tensor.Tensor) {
+	m := x.Dim(0)
+	need := tensor.FCPanelLen(m, l.In)
+	var panel []float32
+	if l.arena != nil {
+		panel = l.arena.Floats(need)
+	} else {
+		if cap(l.panel) < need {
+			l.panel = make([]float32, need)
+		}
+		panel = l.panel[:need]
+	}
+	st := &l.gemm
+	st.W, st.Bias, st.X, st.Out, st.Panel = l.Weight.Value.Data, l.Bias.Value.Data, x.Data, out.Data, panel
+	st.M, st.K, st.N = m, l.In, l.Out
+	st.Run()
+	st.X, st.Out = nil, nil
 }
 
 // Backward implements Layer.

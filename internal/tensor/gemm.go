@@ -172,8 +172,10 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 
 // TransBRange computes output columns [jLo, jHi) of dst = a x b^T. It is
 // exported (rather than folded into MatMulTransBInto) so callers that must
-// not allocate per forward — nn.Linear's serving path drives ParallelFor
-// with a persistent closure — can chunk the column range themselves. Four
+// not allocate per forward — nn.Linear's single-row eval path drives
+// ParallelFor with a persistent method value — can chunk the column range
+// themselves; batches of two or more rows go through FCGemmState, which
+// computes the same chains. Four
 // B rows are processed per sweep of A so each A row is read once per four
 // output columns; per-element values are single-chain dot products and do
 // not depend on jLo alignment.
