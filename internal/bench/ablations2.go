@@ -111,9 +111,9 @@ func (r *Runner) AblationEnergy() error {
 			down := cm.Link.DownTime(downBytes)
 			load := cm.Link.DownTime(loadBytes)
 			e := device.InferenceEnergy{
-				ComputeJ: em.ComputeJ(clientFLOPs),
-				RadioJ:   em.TxJ(up) + em.RxJ(down) + em.RxJ(load)/float64(r.Cfg.SessionSamples),
-				IdleJ:    em.IdleJ(serverWait),
+				ComputeJ: float64(em.ComputeJ(clientFLOPs)),
+				RadioJ:   float64(em.TxJ(up)) + float64(em.RxJ(down)) + em.RxJ(load)/float64(r.Cfg.SessionSamples),
+				IdleJ:    float64(em.IdleJ(serverWait)),
 			}
 			return e.TotalJ()
 		}

@@ -54,16 +54,16 @@ func (r *Runner) SLOBurn() error {
 	cfg := slo.Config{
 		Window:       24 * time.Second,
 		FastWindow:   6 * time.Second,
-		Buckets:      12,
 		MinSamples:   8,
 		MinAgreement: 0.6,
 		MaxErrorRate: 0.5,
 	}
 	clk := &benchClock{t: time.Unix(2000, 0)}
-	s, err := edge.New(edge.WithSLO(cfg), edge.WithClock(clk.Now))
+	s, err := edge.New(edge.WithSLO(cfg))
 	if err != nil {
 		return err
 	}
+	s.SLO().SetClock(clk.Now)
 	defer s.Close()
 	if _, err := s.Register(arch, tm.model); err != nil {
 		return err

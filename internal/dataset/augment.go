@@ -20,7 +20,7 @@ func Rotate(maxDegrees float64) Augmentation {
 		return warp(img, func(x, y, cx, cy float64) (float64, float64) {
 			dx, dy := x-cx, y-cy
 			cos, sin := math.Cos(angle), math.Sin(angle)
-			return cx + cos*dx + sin*dy, cy - sin*dx + cos*dy
+			return cx + float64(cos*dx) + float64(sin*dy), cy - float64(sin*dx) + float64(cos*dy)
 		})
 	}
 }
@@ -41,7 +41,7 @@ func Translate(maxPixels int) Augmentation {
 // uniformly from [lo, hi].
 func Zoom(lo, hi float64) Augmentation {
 	return func(g *tensor.RNG, img *tensor.Tensor) *tensor.Tensor {
-		s := lo + (hi-lo)*g.Float64()
+		s := lo + float64((hi-lo)*g.Float64())
 		return warp(img, func(x, y, cx, cy float64) (float64, float64) {
 			return cx + (x-cx)/s, cy + (y-cy)/s
 		})
@@ -76,11 +76,11 @@ func ColorPerturb(strength float64) Augmentation {
 		c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
 		out := img.Clone()
 		for ch := 0; ch < c; ch++ {
-			scale := float32(1 + strength*(2*g.Float64()-1))
-			shift := float32(strength * (2*g.Float64() - 1) / 2)
+			scale := float32(1 + float64(strength*(float64(2*g.Float64())-1)))
+			shift := float32(strength * (float64(2*g.Float64()) - 1) / 2)
 			plane := out.Data[ch*h*w : (ch+1)*h*w]
 			for i := range plane {
-				plane[i] = plane[i]*scale + shift
+				plane[i] = float32(plane[i]*scale) + shift
 			}
 		}
 		return out

@@ -29,7 +29,9 @@ func renderEmblem(spec LogoSpec, b int, g *tensor.RNG) *tensor.Tensor {
 		{0.7, 0.2, 0.8}, {0.1, 0.8, 0.8}, {0.9, 0.4, 0.1}, {0.5, 0.5, 0.9},
 	}
 	col := colors[b%len(colors)]
-	cx, cy := float64(spec.W-1)/2, float64(spec.H-1)/2
+	// Rounded explicitly: arm64 would fuse the halving (a multiply by 0.5)
+	// into the adds below.
+	cx, cy := float64(float64(spec.W-1)/2), float64(float64(spec.H-1)/2)
 	plane := spec.H * spec.W
 	set := func(x, y int, scale float32) {
 		if x < 0 || x >= spec.W || y < 0 || y >= spec.H {
@@ -44,8 +46,8 @@ func renderEmblem(spec LogoSpec, b int, g *tensor.RNG) *tensor.Tensor {
 		r := float64(spec.W) / 3
 		for t := 0; t < 360; t += 2 {
 			a := float64(t) * math.Pi / 180
-			set(int(cx+r*math.Cos(a)), int(cy+r*math.Sin(a)), 1)
-			set(int(cx+0.7*r*math.Cos(a)), int(cy+0.7*r*math.Sin(a)), 0.8)
+			set(int(cx+float64(r*math.Cos(a))), int(cy+float64(r*math.Sin(a))), 1)
+			set(int(cx+float64(0.7*r*math.Cos(a))), int(cy+float64(0.7*r*math.Sin(a))), 0.8)
 		}
 	case 1: // horizontal bars
 		for i := 0; i < 3; i++ {

@@ -81,16 +81,16 @@ func randomStrokes(g *tensor.RNG, spec Spec, n int) []stroke {
 	for i := range out {
 		color := make([]float64, spec.C)
 		for ch := range color {
-			color[ch] = 0.5 + 0.5*g.Float64()
+			color[ch] = 0.5 + float64(0.5*g.Float64())
 			if g.Float64() < 0.3 {
 				color[ch] = -color[ch]
 			}
 		}
 		out[i] = stroke{
-			x0: 0.1 + 0.8*g.Float64(), y0: 0.1 + 0.8*g.Float64(),
-			x1: 0.1 + 0.8*g.Float64(), y1: 0.1 + 0.8*g.Float64(),
+			x0: 0.1 + float64(0.8*g.Float64()), y0: 0.1 + float64(0.8*g.Float64()),
+			x1: 0.1 + float64(0.8*g.Float64()), y1: 0.1 + float64(0.8*g.Float64()),
 			color: color,
-			thick: 1 + g.Float64()*1.5,
+			thick: 1 + float64(g.Float64()*1.5),
 		}
 	}
 	return out
@@ -101,11 +101,11 @@ func randomStrokes(g *tensor.RNG, spec Spec, n int) []stroke {
 func renderStroke(img []float32, spec Spec, s stroke, dx, dy int, scale float64) {
 	steps := 2 * (spec.H + spec.W)
 	planeLen := spec.H * spec.W
-	r := s.thick / 2
+	r := float64(s.thick / 2) // rounded: arm64 would fuse the halving into r+0.5
 	for t := 0; t <= steps; t++ {
 		f := float64(t) / float64(steps)
-		cx := (s.x0+(s.x1-s.x0)*f)*float64(spec.W-1) + float64(dx)
-		cy := (s.y0+(s.y1-s.y0)*f)*float64(spec.H-1) + float64(dy)
+		cx := float64((s.x0+float64((s.x1-s.x0)*f))*float64(spec.W-1)) + float64(dx)
+		cy := float64((s.y0+float64((s.y1-s.y0)*f))*float64(spec.H-1)) + float64(dy)
 		lo := int(math.Floor(-r))
 		hi := int(math.Ceil(r))
 		for oy := lo; oy <= hi; oy++ {
@@ -145,7 +145,7 @@ func Generate(spec Spec, n int, seed int64) *Dataset {
 		img := x.Batch(i).Data
 		dx := sampleRNG.Intn(2*spec.Jitter+1) - spec.Jitter
 		dy := sampleRNG.Intn(2*spec.Jitter+1) - spec.Jitter
-		scale := 0.8 + 0.4*sampleRNG.Float64()
+		scale := 0.8 + float64(0.4*sampleRNG.Float64())
 		for _, s := range protos[cls].strokes {
 			renderStroke(img, spec, s, dx, dy, scale)
 		}

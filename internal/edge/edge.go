@@ -6,17 +6,16 @@
 //
 // Construct servers with New and functional options (options.go):
 // WithReplicas, WithBatching, WithCodecs, WithSlog, WithJournal,
-// WithTauControl, WithAnswerCache, WithSLO, WithClock and WithMetrics. The
-// wire it speaks, frames and JSON bodies alike, is internal/collab. Models
-// are hosted through the versioned registry (registry.go): Register
-// stages and activates in one step, RegisterVersion/RegisterPack +
-// Activate split deploy from cutover for zero-downtime hot-swap and
-// rollback. Serving state is observable several ways: GET /v1/stats and
-// GET /v1/exitstats return per-model JSON counters and decision
-// telemetry, GET /metrics serves the same atomics plus per-stage latency
-// histograms in the Prometheus text format (DESIGN.md sections 10-11,
-// 15), and GET /v1/debug/requests lists the most recent requests with
-// their correlation IDs.
+// WithTauControl, WithAnswerCache and WithSLO. The wire it speaks, frames
+// and JSON bodies alike, is internal/collab. Models are hosted through the
+// versioned registry (registry.go): Register stages and activates in one
+// step, RegisterVersion/RegisterPack + Activate split deploy from cutover
+// for zero-downtime hot-swap and rollback. Serving state is observable
+// several ways: GET /v1/stats and GET /v1/exitstats return per-model JSON
+// counters and decision telemetry, GET /metrics serves the same atomics
+// plus per-stage latency histograms in the Prometheus text format
+// (DESIGN.md sections 10-11, 15), and GET /v1/debug/requests lists the
+// most recent requests with their correlation IDs.
 package edge
 
 import (
@@ -26,6 +25,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,8 +225,7 @@ type Server struct {
 	// every codec internal/collab supports.
 	codecs map[collab.CodecID]bool
 	// metrics is the observability registry serving GET /metrics; always
-	// non-nil for servers built with New (WithMetrics injects a shared
-	// one).
+	// non-nil for servers built with New.
 	metrics *obs.Registry
 	// tauCfg, when set (WithTauControl), gives every subsequently
 	// registered model its own online tau controller (taucontrol.go).
@@ -235,17 +234,8 @@ type Server struct {
 	// answerCap, when positive (WithAnswerCache), gives every subsequently
 	// registered model a content-addressed answer cache of that capacity.
 	answerCap int
-	// sloCfg holds the validated WithSLO configuration until New builds
-	// the engine (after all options, so WithMetrics ordering never
-	// matters); slo is the engine itself, nil when SLOs are disabled.
-	sloCfg *slo.Config
-	slo    *slo.Engine
-	// clock, when set (WithClock), is the time source for windowed
-	// aggregation and SLO evaluation — injected by deterministic tests
-	// and the slo bench experiment. Request latency is still measured
-	// with the monotonic wall clock; only window placement and burn
-	// horizons follow the injected time.
-	clock func() time.Time
+	// slo is the SLO engine (WithSLO), nil when SLOs are disabled.
+	slo *slo.Engine
 	// closed is set by Close; registration and activation reject with
 	// ErrServerClosed afterwards so no serving state outlives shutdown.
 	closed bool
@@ -336,9 +326,9 @@ func (s *Server) codecNamesLocked() []string {
 // expose it elsewhere or add their own metrics to it.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// Models lists hosted models sorted by registration map order. A model
-// whose versions are all staged (never activated) is listed from its most
-// recently staged version with an empty active Version.
+// Models lists hosted models sorted by name. A model whose versions are
+// all staged (never activated) is listed from its most recently staged
+// version with an empty active Version.
 func (s *Server) Models() []collab.ModelInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -364,14 +354,15 @@ func (s *Server) Models() []collab.ModelInfo {
 		}
 		out = append(out, info)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // Stats snapshots per-model serving counters. Counters are read with
 // atomic loads, so a snapshot taken under load is per-field consistent,
 // and the values are the same atomics /metrics exposes, so the two views
-// reconcile by construction. Models without an activated version are
-// omitted — they have never served.
+// reconcile by construction. Models are sorted by name; those without an
+// activated version are omitted — they have never served.
 func (s *Server) Stats() []ModelStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -416,6 +407,7 @@ func (s *Server) Stats() []ModelStats {
 		}
 		out = append(out, st)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

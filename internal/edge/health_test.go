@@ -25,7 +25,8 @@ func TestHealthGoldenResponses(t *testing.T) {
 	}
 
 	fk := newFakeNow()
-	s := newServer(t, WithSLO(testSLOConfig()), WithClock(fk.Now))
+	s := newServer(t, WithSLO(testSLOConfig()))
+	s.SLO().SetClock(fk.Now)
 	m := testModel(t)
 	version, err := s.Register("demo", m)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"lcrs/internal/collab"
 	"lcrs/internal/models"
+	"lcrs/internal/slo"
 	"lcrs/internal/tensor"
 )
 
@@ -380,10 +381,15 @@ func (e *entry) observe(o *inferOutcome) {
 		}
 	}
 	if win != nil {
-		win.ObserveInfer(time.Since(o.start), failed)
-		if o.cache != cacheOff {
-			win.ObserveCache(o.cache == cacheHit)
+		// The version's SLO ring mirrors the counters above and the decision
+		// telemetry below in one write; it ignores a failed request's
+		// latency, agreement and exit fields.
+		r := slo.Request{Latency: time.Since(o.start), Failed: failed,
+			CacheHit: o.cache == cacheHit, CacheMiss: o.cache == cacheMiss, Offloaded: int64(o.samples)}
+		if o.tel != nil {
+			r.Judged, r.Agree, r.LocalExits = true, o.agree, int64(o.tel.LocalExits)
 		}
+		win.Observe(r)
 	}
 	j := o.journal
 	j.Model, j.Version = e.name, e.version
@@ -398,16 +404,6 @@ func (e *entry) observe(o *inferOutcome) {
 		h.ObserveDuration(o.tr.stages[i])
 	}
 	st.decision.observe(o.samples, o.tel, o.ans.pred)
-	if win != nil {
-		// The windows mirror the decision counters: exit rate and
-		// agreement from the same telemetry.
-		var local int64
-		if o.tel != nil {
-			local = int64(o.tel.LocalExits)
-			win.ObserveAgreement(o.agree)
-		}
-		win.ObserveExits(local, int64(o.samples))
-	}
 	j.Codec, j.PayloadBytes, j.Samples, j.Pred = codecName(o.codec), o.payload, o.samples, &o.ans.pred
 	if o.tel != nil {
 		j.Entropy, j.BinaryPred, j.Agree = &o.tel.Entropy, &o.tel.BinaryPred, &o.agree

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"lcrs/internal/collab"
-	"lcrs/internal/obs"
 	"lcrs/internal/tensor"
 )
 
@@ -291,32 +290,5 @@ func TestMetricsBatchedPath(t *testing.T) {
 	}
 	if float64(hist) != batches {
 		t.Fatalf("JSON batch histogram counts %d, /metrics says %v", hist, batches)
-	}
-}
-
-// WithMetrics shares one registry across servers: both models' series land
-// in a single exposition.
-func TestSharedMetricsRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := newServer(t, WithMetrics(reg))
-	b := newServer(t, WithMetrics(reg))
-	m := testModel(t)
-	if _, err := a.Register("left", m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Register("right", m); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`{model="left"}`, `{model="right"}`} {
-		if !strings.Contains(sb.String(), metricInferRequests+want) {
-			t.Fatalf("shared registry missing %s series:\n%s", want, sb.String())
-		}
-	}
-	if a.Metrics() != reg || b.Metrics() != reg {
-		t.Fatal("Metrics() must return the injected registry")
 	}
 }

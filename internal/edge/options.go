@@ -44,18 +44,6 @@ func New(opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	if s.sloCfg != nil {
-		// Built after all options so WithSLO/WithMetrics/WithClock compose
-		// in any order: the engine binds to the final registry and clock.
-		eng, err := slo.New(*s.sloCfg, s.metrics)
-		if err != nil {
-			return nil, fmt.Errorf("edge: %w", err)
-		}
-		if s.clock != nil {
-			eng.SetClock(s.clock)
-		}
-		s.slo = eng
-	}
 	return s, nil
 }
 
@@ -171,36 +159,16 @@ func WithAnswerCache(n int) Option {
 // states, GET /v1/health answers 503 while any objective fast-burns, GET
 // /v1/slo serves the full verdict, and the lcrs_slo_* / lcrs_window_*
 // gauge families export the same evaluation per scrape. cfg is validated
-// here so a bad configuration fails construction.
+// here so a bad configuration fails construction. The engine reads the
+// wall clock; deterministic tests inject theirs with SLO().SetClock
+// before registering models.
 func WithSLO(cfg slo.Config) Option {
 	return func(s *Server) error {
-		if err := cfg.Validate(); err != nil {
+		eng, err := slo.New(cfg, s.metrics)
+		if err != nil {
 			return fmt.Errorf("edge: %w", err)
 		}
-		s.sloCfg = &cfg
-		return nil
-	}
-}
-
-// WithClock injects the time source windowed aggregation and SLO burn
-// horizons read (nil keeps the wall clock, the default). Latency values
-// are still measured with the monotonic clock — only window placement
-// and expiry follow the injected time — so deterministic tests can march
-// a fake clock through burn-and-recover scenarios without sleeping.
-func WithClock(now func() time.Time) Option {
-	return func(s *Server) error {
-		s.clock = now
-		return nil
-	}
-}
-
-// WithMetrics makes the server record its counters and stage histograms
-// into reg instead of a private registry — the way to aggregate several
-// servers (or a server plus application metrics) into one /metrics
-// exposition. The registry must outlive the server.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(s *Server) error {
-		s.metrics = reg
+		s.slo = eng
 		return nil
 	}
 }

@@ -45,7 +45,8 @@ type reconRequest struct {
 func TestInferSurfacesReconcile(t *testing.T) {
 	clock := newFakeNow() // frozen: nothing ages out of the SLO windows
 	s := newServer(t, WithAnswerCache(16), WithBatching(4, time.Millisecond), WithReplicas(2),
-		WithCodecs("f16", "q8"), WithSLO(testSLOConfig()), WithClock(clock.Now))
+		WithCodecs("f16", "q8"), WithSLO(testSLOConfig()))
+	s.SLO().SetClock(clock.Now)
 	m := testModel(t)
 	version, err := s.Register("demo", m)
 	if err != nil {
@@ -55,18 +56,7 @@ func TestInferSurfacesReconcile(t *testing.T) {
 	e, _ := s.lookup("demo")
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	// Claim every window slot before the concurrent traffic: a slot's first
-	// writer zeroes it after claiming, so a racing first observation could
-	// be dropped (the bounded skew obs's windows document). Each series
-	// gets one priming observation, subtracted below.
 	win := s.slo.Target("demo", version)
-	win.ObserveInfer(0, false)
-	win.ObserveInfer(0, true)
-	win.ObserveCache(true)
-	win.ObserveCache(false)
-	win.ObserveExits(1, 1)
-	win.ObserveAgreement(true)
-	win.ObserveAgreement(false)
 
 	rng := rand.New(rand.NewSource(29))
 	g := tensor.NewRNG(29)
@@ -303,13 +293,15 @@ func TestInferSurfacesReconcile(t *testing.T) {
 	expect("/metrics reported", metric(metricExitReported), reported)
 	expect("/metrics agree", metric(metricAgree, `agree="yes"`), agreed)
 
-	expect("window requests", win.Requests.Total()-2, requests)
-	expect("window errors", win.Errors.Total()-1, failed)
-	expect("window latencies", win.Latency.Count(win.Latency.Window())-1, ok)
-	expect("window cache hits", win.CacheHits.Total()-1, st.CacheHits)
-	expect("window cache misses", win.CacheMisses.Total()-1, st.CacheMisses)
-	expect("window offloads", win.ExitOffload.Total()-1, samples)
-	expect("window local exits", win.ExitLocal.Total()-1, local)
-	expect("window agree", win.AgreeYes.Total()-1, agreed)
-	expect("window disagree", win.AgreeNo.Total()-1, reported-agreed)
+	w := win.Window(0)
+	_, latencies := w.LatencyP99()
+	expect("window requests", w.Requests, requests)
+	expect("window errors", w.Errors, failed)
+	expect("window latencies", latencies, ok)
+	expect("window cache hits", w.CacheHits, st.CacheHits)
+	expect("window cache misses", w.CacheMisses, st.CacheMisses)
+	expect("window offloads", w.Offloaded, samples)
+	expect("window local exits", w.LocalExits, local)
+	expect("window agree", w.Agree, agreed)
+	expect("window disagree", w.Disagree, reported-agreed)
 }

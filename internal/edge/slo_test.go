@@ -43,7 +43,6 @@ func testSLOConfig() slo.Config {
 	return slo.Config{
 		Window:       12 * time.Second,
 		FastWindow:   4 * time.Second,
-		Buckets:      12,
 		MinSamples:   5,
 		MaxErrorRate: 0.2,
 		LatencyP99:   time.Second,
@@ -88,7 +87,8 @@ func getHealth(t *testing.T, url string) (int, HealthResponse) {
 // burst recovers it to 200 — all on an injected clock, no sleeping.
 func TestHealthBurnAndRecover(t *testing.T) {
 	fk := newFakeNow()
-	s := newServer(t, WithSLO(testSLOConfig()), WithClock(fk.Now))
+	s := newServer(t, WithSLO(testSLOConfig()))
+	s.SLO().SetClock(fk.Now)
 	m := testModel(t)
 	if _, err := s.Register("demo", m); err != nil {
 		t.Fatal(err)

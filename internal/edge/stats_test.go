@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -86,5 +87,43 @@ func TestStatsEmptyServer(t *testing.T) {
 	s := newServer(t)
 	if got := s.Stats(); len(got) != 0 {
 		t.Fatalf("empty server stats = %+v", got)
+	}
+}
+
+// /v1/models and /v1/stats list models by name, not in map order, so two
+// reads of a multi-model edge are identical.
+func TestModelListsSortedByName(t *testing.T) {
+	s := newServer(t)
+	m := testModel(t)
+	for _, name := range []string{"gamma", "alpha", "beta"} {
+		if _, err := s.Register(name, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	names := func(path string) []string {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body []struct{ Name string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, b := range body {
+			out = append(out, b.Name)
+		}
+		return out
+	}
+	want := "[alpha beta gamma]"
+	for i := 0; i < 8; i++ {
+		for _, path := range []string{"/v1/models", "/v1/stats"} {
+			if got := fmt.Sprint(names(path)); got != want {
+				t.Fatalf("read %d of %s lists %s, want %s", i, path, got, want)
+			}
+		}
 	}
 }

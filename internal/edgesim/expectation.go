@@ -55,7 +55,7 @@ func ExpectedLatencyTwoBranch(first, second BranchPoint, cm CostModel) time.Dura
 	p1 := first.ExitRate
 	p2 := second.ExitRate
 	// E = t1 + (1-p1)[ (t2-t1) + (1-p2)(up+server+down) ]
-	cont := float64(t2-t1) + (1-p2)*float64(missBoth)
+	cont := float64(t2-t1) + float64((1-p2)*float64(missBoth))
 	return t1 + time.Duration((1-p1)*cont)
 }
 

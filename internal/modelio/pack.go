@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"lcrs/internal/models"
 )
@@ -160,16 +159,6 @@ func EncodePack(man PackManifest, m *models.Composite) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WritePack encodes m as a pack and writes it to w.
-func WritePack(w io.Writer, man PackManifest, m *models.Composite) error {
-	data, err := EncodePack(man, m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // PackSection describes one section of a pack for inspection tools.
 type PackSection struct {
 	Name  string
@@ -297,15 +286,6 @@ func OpenPack(data []byte) (*ModelPack, error) {
 		return nil, fmt.Errorf("modelio: pack checkpoint: %w", err)
 	}
 	return &ModelPack{Manifest: man, Model: m, Bundle: bundle, digest: digest, raw: data}, nil
-}
-
-// OpenPackReader reads all of r and opens it as a pack.
-func OpenPackReader(r io.Reader) (*ModelPack, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("modelio: read pack: %w", err)
-	}
-	return OpenPack(data)
 }
 
 // CompositeDigest is the content digest of a model's full serialized

@@ -113,15 +113,6 @@ func (m *Composite) ResetScratch() {
 	}
 }
 
-// ScratchFootprintBytes reports the replica arena's slab capacity — the
-// per-replica steady-state scratch cost — or 0 without an arena.
-func (m *Composite) ScratchFootprintBytes() int64 {
-	if m.arena == nil {
-		return 0
-	}
-	return m.arena.FootprintBytes()
-}
-
 // Validate checks internal shape consistency and returns a descriptive
 // error when branch shapes do not line up.
 func (m *Composite) Validate() error {
@@ -255,16 +246,4 @@ func (m *Composite) MainSizeBytes() int64 {
 // shared prefix (float) + binary branch (bit-packed) — B_size in Table I.
 func (m *Composite) BinarySizeBytes() int64 {
 	return layerSizeBytes(m.Shared) + layerSizeBytes(m.Binary)
-}
-
-// ParamCount returns the total number of trainable scalars in the network.
-func (m *Composite) ParamCount() int64 {
-	var n int64
-	for _, p := range m.MainParams() {
-		n += int64(p.Value.Len())
-	}
-	for _, p := range m.BinaryParams() {
-		n += int64(p.Value.Len())
-	}
-	return n
 }

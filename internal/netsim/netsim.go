@@ -79,7 +79,7 @@ func (l *Link) jittered(d time.Duration) time.Duration {
 	if l.Jitter == 0 || l.rng == nil {
 		return d
 	}
-	f := 1 + l.Jitter*(2*l.rng.Float64()-1)
+	f := 1 + float64(l.Jitter*(float64(2*l.rng.Float64())-1))
 	return time.Duration(float64(d) * f)
 }
 

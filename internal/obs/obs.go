@@ -141,14 +141,14 @@ const NoData = -1
 //   - Observations beyond the last bound saturate to it.
 func (h *Histogram) Quantile(q float64) float64 {
 	_, counts := h.Buckets()
-	return quantileFromCounts(h.bounds, counts, q)
+	return QuantileFromCounts(h.bounds, counts, q)
 }
 
-// quantileFromCounts is the shared estimator behind Histogram.Quantile
-// and WindowedHistogram.Quantile: counts has one entry per bound plus
-// the +Inf overflow bucket last. Returns NoData when counts are all
-// zero.
-func quantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
+// QuantileFromCounts is the estimator behind Histogram.Quantile, shared
+// with the windowed quantiles internal/slo merges from its rings: counts
+// has one entry per bound plus the +Inf overflow bucket last. Returns
+// NoData when counts are all zero.
+func QuantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
 	if q < 0 {
 		q = 0
 	}
@@ -162,7 +162,7 @@ func quantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
 	if total == 0 {
 		return NoData
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum int64
 	for i, c := range counts[:len(counts)-1] {
 		cum += c

@@ -1,13 +1,13 @@
-// Package slo evaluates service-level objectives over the trailing
-// windows of internal/obs (DESIGN.md §16). It answers the question the
-// cumulative metric families cannot: is the system inside its budget
+// Package slo evaluates service-level objectives over trailing time
+// windows (DESIGN.md §16). It answers the question the cumulative metric
+// families of internal/obs cannot: is the system inside its budget
 // *right now*?
 //
-// The engine tracks one Target per (model, version). A target owns the
-// windowed aggregates the edge feeds on every inference — latency,
-// errors, binary-vs-main agreement, early-exit decisions, answer-cache
-// traffic — and the engine grades each configured objective over two
-// horizons:
+// The engine tracks one Target per (model, version). A target owns one
+// ring of Slots time slots that the edge feeds once per inference —
+// latency, errors, binary-vs-main agreement, early-exit decisions,
+// answer-cache traffic — and the engine grades each configured objective
+// over two horizons:
 //
 //   - the long window (Config.Window): a sustained violation here is a
 //     slow_burn — the budget is eroding, flag it but keep serving;
@@ -21,15 +21,16 @@
 // served nothing is not known-good, and obs.NoData quantiles never leak
 // into the grading as "p99 = 0s, looks fast".
 //
-// Everything /v1/slo reports is computed by the same Evaluate call that
-// backs the lcrs_slo_* gauge functions, evaluated at scrape time — the
-// two views reconcile by construction, not by synchronized bookkeeping.
+// Everything /v1/slo reports is computed by the same grading that backs
+// the lcrs_slo_* gauge functions, evaluated at scrape time — the two
+// views reconcile by construction, not by synchronized bookkeeping.
 package slo
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lcrs/internal/obs"
@@ -65,18 +66,20 @@ const (
 	ObjExitRate   = "exit_rate"
 )
 
+// Slots is the ring resolution: the long window is divided into this
+// many equal time slots (5s slots for the default 60s window).
+const Slots = 12
+
 // Config declares the objectives and the evaluation horizons. Zero
 // values for individual objectives disable them; Validate fills horizon
 // defaults.
 type Config struct {
-	// Window is the long (slow-burn) horizon. Default 60s.
+	// Window is the long (slow-burn) horizon; it must divide into Slots
+	// equal slots. Default 60s.
 	Window time.Duration
 	// FastWindow is the fast-burn horizon, a trailing slice of the same
-	// bucket ring (must be <= Window). Default 10s.
+	// ring (must be <= Window). Default 10s.
 	FastWindow time.Duration
-	// Buckets is the ring resolution for the long window. Default 12
-	// (5s buckets for the default 60s window).
-	Buckets int
 	// MinSamples is the minimum observation count, per objective, below
 	// which the objective is no_data rather than graded. Default 20.
 	MinSamples int64
@@ -106,21 +109,17 @@ func (c *Config) Validate() error {
 	if c.FastWindow == 0 {
 		c.FastWindow = 10 * time.Second
 	}
-	if c.Buckets == 0 {
-		c.Buckets = 12
-	}
 	if c.MinSamples == 0 {
 		c.MinSamples = 20
 	}
-	if c.Window <= 0 || c.FastWindow <= 0 || c.Buckets <= 0 {
-		return fmt.Errorf("slo: horizons and buckets must be positive (window=%v fast=%v buckets=%d)",
-			c.Window, c.FastWindow, c.Buckets)
+	if c.Window <= 0 || c.FastWindow <= 0 {
+		return fmt.Errorf("slo: horizons must be positive (window=%v fast=%v)", c.Window, c.FastWindow)
 	}
 	if c.FastWindow > c.Window {
 		return fmt.Errorf("slo: fast window %v exceeds long window %v", c.FastWindow, c.Window)
 	}
-	if c.Window%time.Duration(c.Buckets) != 0 {
-		return fmt.Errorf("slo: window %v not divisible into %d buckets", c.Window, c.Buckets)
+	if c.Window%Slots != 0 {
+		return fmt.Errorf("slo: window %v not divisible into %d slots", c.Window, Slots)
 	}
 	for name, v := range map[string]float64{
 		"max_error_rate": c.MaxErrorRate,
@@ -147,13 +146,13 @@ func (c *Config) Validate() error {
 // decay to no_data on their own), which is exactly what an A/B judge
 // comparing the outgoing and incoming versions needs.
 type Engine struct {
-	cfg Config
-	reg *obs.Registry // nil: no gauge export
+	cfg   Config
+	reg   *obs.Registry // nil: no gauge export
+	clock atomic.Pointer[func() time.Time]
 
 	mu      sync.RWMutex
 	targets map[targetKey]*Target
-	order   []targetKey // insertion order for stable verdicts
-	clock   func() time.Time
+	order   []*Target // insertion order
 }
 
 type targetKey struct{ model, version string }
@@ -175,16 +174,24 @@ func New(cfg Config, reg *obs.Registry) (*Engine, error) {
 // Config returns the validated configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// SetClock injects a time source into the engine and every current and
-// future target's windows (nil restores wall time). For deterministic
-// tests and the slo bench experiment.
+// SetClock injects the time source every target places observations
+// and ends its windows by (nil restores wall time). For deterministic
+// tests and the slo bench experiment; set it before the first Target,
+// since a target's age for the covered-seconds rate is read from the
+// clock current at its creation.
 func (e *Engine) SetClock(clock func() time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clock = clock
-	for _, t := range e.targets {
-		t.setClock(clock)
+	if clock == nil {
+		e.clock.Store(nil)
+		return
 	}
+	e.clock.Store(&clock)
+}
+
+func (e *Engine) now() time.Time {
+	if c := e.clock.Load(); c != nil {
+		return (*c)()
+	}
+	return time.Now()
 }
 
 // Target returns the windowed aggregates for (model, version), creating
@@ -203,12 +210,18 @@ func (e *Engine) Target(model, version string) *Target {
 	if t = e.targets[k]; t != nil {
 		return t
 	}
-	t = newTarget(e.cfg, model, version)
-	if e.clock != nil {
-		t.setClock(e.clock)
+	t = &Target{
+		Model:   model,
+		Version: version,
+		now:     e.now,
+		slotNS:  int64(e.cfg.Window / Slots),
+		bornNS:  e.now().UnixNano(),
+	}
+	for i := range t.ring {
+		t.ring[i].Latency = make([]int64, len(latencyBounds)+1)
 	}
 	e.targets[k] = t
-	e.order = append(e.order, k)
+	e.order = append(e.order, t)
 	if e.reg != nil {
 		e.registerGauges(t)
 	}
@@ -216,32 +229,35 @@ func (e *Engine) Target(model, version string) *Target {
 }
 
 // registerGauges installs the per-target gauge functions. Each closure
-// runs the same per-objective evaluation Evaluate uses, at scrape time,
-// so /metrics and /v1/slo cannot drift. Called with e.mu held, once per
-// target (obs.GaugeFunc is first-registration-wins, so a re-activated
-// version reusing its target re-registers harmlessly).
+// merges the ring and runs the same grading Evaluate uses, at scrape
+// time, so /metrics and /v1/slo cannot drift. Called with e.mu held,
+// once per target (obs.GaugeFunc is first-registration-wins, so a
+// re-activated version reusing its target re-registers harmlessly).
 func (e *Engine) registerGauges(t *Target) {
 	l := []obs.Label{{Key: "model", Value: t.Model}, {Key: "version", Value: t.Version}}
-	window := e.cfg.Window
+	long := func() Window { return t.Window(e.cfg.Window) }
+	value := func(f func(Window) (float64, int64)) func() float64 {
+		return func() float64 { v, _ := f(long()); return v }
+	}
 	// Windowed aggregates: the live per-version comparison surface.
 	e.reg.GaugeFunc("lcrs_window_infer_rate",
 		"Inference requests per second over the trailing SLO window.",
-		func() float64 { return t.Requests.RateWithin(window) }, l...)
+		func() float64 { return long().Rate() }, l...)
 	e.reg.GaugeFunc("lcrs_window_error_rate",
 		"Errored fraction of inference requests over the trailing SLO window; -1 when no traffic.",
-		func() float64 { v, _ := t.errorRate(window); return v }, l...)
+		value(Window.ErrorRate), l...)
 	e.reg.GaugeFunc("lcrs_window_latency_p99_seconds",
 		"p99 inference latency over the trailing SLO window; -1 (obs.NoData) when no traffic.",
-		func() float64 { return t.Latency.Quantile(0.99, window) }, l...)
+		value(Window.LatencyP99), l...)
 	e.reg.GaugeFunc("lcrs_window_agree_rate",
 		"Binary-vs-main top-1 agreement over the trailing SLO window; -1 when no judged samples.",
-		func() float64 { v, _ := t.agreeRate(window); return v }, l...)
+		value(Window.AgreeRate), l...)
 	e.reg.GaugeFunc("lcrs_window_exit_rate",
 		"Local early-exit fraction over the trailing SLO window; -1 when no decisions.",
-		func() float64 { v, _ := t.exitRate(window); return v }, l...)
+		value(Window.ExitRate), l...)
 	e.reg.GaugeFunc("lcrs_window_cache_hit_rate",
 		"Edge answer-cache hit fraction over the trailing SLO window; -1 when no lookups.",
-		func() float64 { v, _ := t.cacheHitRate(window); return v }, l...)
+		value(Window.CacheHitRate), l...)
 	// SLO grading, one state/value pair per enabled objective.
 	for _, obj := range e.enabledObjectives() {
 		obj := obj
@@ -256,10 +272,8 @@ func (e *Engine) registerGauges(t *Target) {
 	e.reg.GaugeFunc("lcrs_slo_burning",
 		"1 when any objective for this model version is in fast_burn (readiness 503), else 0.",
 		func() float64 {
-			for _, obj := range e.enabledObjectives() {
-				if e.gradeObjective(t, obj).State == StateFastBurn {
-					return 1
-				}
+			if e.gradeTarget(t).Burning {
+				return 1
 			}
 			return 0
 		}, l...)
@@ -326,11 +340,7 @@ type Verdict struct {
 // /v1/slo response taken at the same instant agree.
 func (e *Engine) Evaluate() Verdict {
 	e.mu.RLock()
-	keys := append([]targetKey(nil), e.order...)
-	targets := make([]*Target, len(keys))
-	for i, k := range keys {
-		targets[i] = e.targets[k]
-	}
+	targets := append([]*Target(nil), e.order...)
 	e.mu.RUnlock()
 
 	v := Verdict{
@@ -339,16 +349,11 @@ func (e *Engine) Evaluate() Verdict {
 		WindowSecs:    e.cfg.Window.Seconds(),
 		FastWindowSec: e.cfg.FastWindow.Seconds(),
 	}
-	objs := e.enabledObjectives()
 	sawOK, sawSlow := false, false
-	for i, t := range targets {
-		tv := TargetVerdict{Model: keys[i].model, Version: keys[i].version}
-		for _, obj := range objs {
-			st := e.gradeObjective(t, obj)
-			tv.Objectives = append(tv.Objectives, st)
+	for _, t := range targets {
+		tv := e.gradeTarget(t)
+		for _, st := range tv.Objectives {
 			switch st.State {
-			case StateFastBurn:
-				tv.Burning = true
 			case StateSlowBurn:
 				sawSlow = true
 			case StateOK:
@@ -377,34 +382,50 @@ func (e *Engine) Evaluate() Verdict {
 	return v
 }
 
-// gradeObjective grades one objective for one target over both
-// horizons. The burn ladder: no_data below MinSamples in the long
-// window; fast_burn when the fast window violates with at least
-// MinSamples of its own (a burst of bad requests, not two unlucky
-// ones); slow_burn when only the long window violates; ok otherwise.
+// gradeTarget grades every enabled objective for t from one merge of
+// its ring per horizon.
+func (e *Engine) gradeTarget(t *Target) TargetVerdict {
+	tv := TargetVerdict{Model: t.Model, Version: t.Version}
+	long, fast := t.Window(e.cfg.Window), t.Window(e.cfg.FastWindow)
+	for _, obj := range e.enabledObjectives() {
+		st := e.grade(obj, long, fast)
+		tv.Burning = tv.Burning || st.State == StateFastBurn
+		tv.Objectives = append(tv.Objectives, st)
+	}
+	return tv
+}
+
+// gradeObjective grades one objective for t over both horizons.
 func (e *Engine) gradeObjective(t *Target, obj string) ObjectiveStatus {
+	return e.grade(obj, t.Window(e.cfg.Window), t.Window(e.cfg.FastWindow))
+}
+
+// grade grades one objective from the merged long and fast windows. The
+// burn ladder: no_data below MinSamples in the long window; fast_burn
+// when the fast window violates with at least MinSamples of its own (a
+// burst of bad requests, not two unlucky ones); slow_burn when only the
+// long window violates; ok otherwise.
+func (e *Engine) grade(obj string, long, fast Window) ObjectiveStatus {
 	st := ObjectiveStatus{Name: obj}
-	var eval func(d time.Duration) (value float64, samples int64)
+	var eval func(Window) (value float64, samples int64)
 	var violated func(value float64) bool
 	switch obj {
 	case ObjLatencyP99:
 		st.Threshold = e.cfg.LatencyP99.Seconds()
-		eval = func(d time.Duration) (float64, int64) {
-			return t.Latency.Quantile(0.99, d), t.Latency.Count(d)
-		}
+		eval = Window.LatencyP99
 		violated = func(v float64) bool { return v > st.Threshold }
 	case ObjErrorRate:
 		st.Threshold = e.cfg.MaxErrorRate
-		eval = t.errorRate
+		eval = Window.ErrorRate
 		violated = func(v float64) bool { return v > st.Threshold }
 	case ObjAgreement:
 		st.Threshold = e.cfg.MinAgreement
-		eval = t.agreeRate
+		eval = Window.AgreeRate
 		violated = func(v float64) bool { return v < st.Threshold }
 	case ObjExitRate:
 		st.Threshold = e.cfg.ExitRateMax
 		st.ThresholdLow = e.cfg.ExitRateMin
-		eval = t.exitRate
+		eval = Window.ExitRate
 		violated = func(v float64) bool { return v < st.ThresholdLow || v > st.Threshold }
 	default:
 		st.State = StateNoData
@@ -412,8 +433,8 @@ func (e *Engine) gradeObjective(t *Target, obj string) ObjectiveStatus {
 		return st
 	}
 
-	st.Value, st.Samples = eval(e.cfg.Window)
-	fastValue, fastSamples := eval(e.cfg.FastWindow)
+	st.Value, st.Samples = eval(long)
+	fastValue, fastSamples := eval(fast)
 	st.FastValue = fastValue
 	switch {
 	case st.Samples < e.cfg.MinSamples || st.Value < 0:
@@ -428,108 +449,193 @@ func (e *Engine) gradeObjective(t *Target, obj string) ObjectiveStatus {
 	return st
 }
 
-// Target holds the windowed aggregates for one (model, version). The
-// edge feeds it from the infer hot path — every method is a handful of
-// atomic ops on obs windowed primitives, no locks.
+// latencyBounds are the latency buckets (seconds) every ring slot
+// counts into: obs's default layout, so a windowed p99 is estimated
+// exactly like the cumulative lcrs_infer latency histograms.
+var latencyBounds = obs.LatencyBuckets()
+
+// Request is one finished inference as the edge reports it to its
+// version's target.
+type Request struct {
+	// Latency is the end-to-end infer handler latency.
+	Latency time.Duration
+	// Failed marks an errored request. A failed request counts toward
+	// the error rate and the cache traffic only: its latency (a fast 400
+	// must not drag p99 down), agreement and exit fields are ignored.
+	Failed bool
+	// CacheHit / CacheMiss give the answer-cache lookup's outcome; both
+	// false when no cache was consulted.
+	CacheHit, CacheMiss bool
+	// Judged marks a request whose telemetry carried a binary answer to
+	// judge against the main branch's; Agree is the judgment.
+	Judged, Agree bool
+	// LocalExits / Offloaded are client exit decisions: the local exits
+	// the telemetry reports and the samples this request offloaded.
+	LocalExits, Offloaded int64
+}
+
+// Counts is what one ring slot holds, and what a trailing window merges
+// its slots into.
+type Counts struct {
+	// Requests / Errors grade the error-rate objective.
+	Requests, Errors int64
+	// Agree / Disagree grade the binary-vs-main agreement floor
+	// (label-free, from client telemetry vs the main-branch answer).
+	Agree, Disagree int64
+	// LocalExits / Offloaded grade the exit-rate band.
+	LocalExits, Offloaded int64
+	// CacheHits / CacheMisses feed the windowed cache view (not graded,
+	// but the A/B judge wants it per version).
+	CacheHits, CacheMisses int64
+	// Latency holds the successful requests' latency bucket counts over
+	// obs.LatencyBuckets, the +Inf overflow last.
+	Latency []int64
+}
+
+func (c *Counts) add(o *Counts) {
+	c.Requests += o.Requests
+	c.Errors += o.Errors
+	c.Agree += o.Agree
+	c.Disagree += o.Disagree
+	c.LocalExits += o.LocalExits
+	c.Offloaded += o.Offloaded
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	for i, n := range o.Latency {
+		c.Latency[i] += n
+	}
+}
+
+// Target holds the windowed aggregates for one (model, version): a ring
+// of Slots time slots, each the Counts of one slot-duration epoch, under
+// one mutex. A write lands in the slot covering now, first resetting it
+// when it still holds an epoch that has left the window, so rotation is
+// exact — no observation is dropped or misfiled — and the ring's memory
+// is fixed at creation; expiry needs no background work.
+//
+// Precision contract: the trailing window rounds to slot granularity. A
+// query for the last D covers every slot that overlaps (now-D, now], so
+// up to one slot-duration of older observations may be included.
 type Target struct {
 	Model   string
 	Version string
 
-	// Latency is the end-to-end infer handler latency in seconds.
-	Latency *obs.WindowedHistogram
-	// Requests / Errors grade the error-rate objective.
-	Requests *obs.WindowedCounter
-	Errors   *obs.WindowedCounter
-	// AgreeYes / AgreeNo grade the binary-vs-main agreement floor
-	// (label-free, from client telemetry vs the main-branch answer).
-	AgreeYes *obs.WindowedCounter
-	AgreeNo  *obs.WindowedCounter
-	// ExitLocal / ExitOffload grade the exit-rate band.
-	ExitLocal   *obs.WindowedCounter
-	ExitOffload *obs.WindowedCounter
-	// CacheHits / CacheMisses feed the windowed cache view (not graded,
-	// but the A/B judge wants it per version).
-	CacheHits   *obs.WindowedCounter
-	CacheMisses *obs.WindowedCounter
+	now    func() time.Time // the engine's clock
+	slotNS int64
+	bornNS int64 // creation time: the covered-seconds floor
+
+	mu   sync.Mutex
+	ring [Slots]slot
 }
 
-func newTarget(cfg Config, model, version string) *Target {
-	wc := func() *obs.WindowedCounter { return obs.NewWindowedCounter(cfg.Window, cfg.Buckets) }
-	return &Target{
-		Model:       model,
-		Version:     version,
-		Latency:     obs.NewWindowedHistogram(obs.LatencyBuckets(), cfg.Window, cfg.Buckets),
-		Requests:    wc(),
-		Errors:      wc(),
-		AgreeYes:    wc(),
-		AgreeNo:     wc(),
-		ExitLocal:   wc(),
-		ExitOffload: wc(),
-		CacheHits:   wc(),
-		CacheMisses: wc(),
+type slot struct {
+	epoch int64 // slot-duration epoch the counts belong to
+	Counts
+}
+
+// Observe records one finished request: one clock read and one lock.
+func (t *Target) Observe(r Request) {
+	e := t.now().UnixNano() / t.slotNS
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := &t.ring[e%Slots]
+	if s.epoch < e {
+		// The slot last held an epoch that has left the window: recycle it.
+		// (A newer epoch, under a clock stepped backwards, is folded into.)
+		lat := s.Latency
+		clear(lat)
+		s.Counts = Counts{Latency: lat}
+		s.epoch = e
 	}
-}
-
-func (t *Target) setClock(clock func() time.Time) {
-	t.Latency.SetClock(clock)
-	for _, c := range []*obs.WindowedCounter{
-		t.Requests, t.Errors, t.AgreeYes, t.AgreeNo,
-		t.ExitLocal, t.ExitOffload, t.CacheHits, t.CacheMisses,
-	} {
-		c.SetClock(clock)
+	c := &s.Counts
+	c.Requests++
+	switch {
+	case r.CacheHit:
+		c.CacheHits++
+	case r.CacheMiss:
+		c.CacheMisses++
 	}
-}
-
-// ObserveInfer records one inference request outcome.
-func (t *Target) ObserveInfer(d time.Duration, failed bool) {
-	t.Requests.Inc()
-	if failed {
-		t.Errors.Inc()
+	if r.Failed {
+		c.Errors++
 		return
 	}
-	// Error latencies are excluded: a fast 400 must not drag p99 down.
-	t.Latency.ObserveDuration(d)
+	c.Latency[sort.SearchFloat64s(latencyBounds, r.Latency.Seconds())]++
+	if r.Judged {
+		if r.Agree {
+			c.Agree++
+		} else {
+			c.Disagree++
+		}
+	}
+	c.LocalExits += r.LocalExits
+	c.Offloaded += r.Offloaded
 }
 
-// ObserveAgreement records one binary-vs-main judgment.
-func (t *Target) ObserveAgreement(agree bool) {
-	if agree {
-		t.AgreeYes.Inc()
-	} else {
-		t.AgreeNo.Inc()
+// Window merges the slots inside the trailing d (d <= 0 or beyond the
+// ring: the whole ring) into one view.
+func (t *Target) Window(d time.Duration) Window {
+	if window := time.Duration(t.slotNS * Slots); d <= 0 || d > window {
+		d = window
 	}
+	now := t.now().UnixNano()
+	maxE := now / t.slotNS
+	minE := max((now-int64(d))/t.slotNS, maxE-Slots+1)
+	w := Window{Counts: Counts{Latency: make([]int64, len(latencyBounds)+1)}}
+	if start := max(minE*t.slotNS, t.bornNS); now > start {
+		w.covered = time.Duration(now - start)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.ring {
+		if s := &t.ring[i]; s.epoch >= minE && s.epoch <= maxE {
+			w.add(&s.Counts)
+		}
+	}
+	return w
 }
 
-// ObserveExit records one client exit decision (local answer vs
-// offloaded sample), as reported by telemetry.
-func (t *Target) ObserveExit(local bool) {
-	if local {
-		t.ExitLocal.Inc()
-	} else {
-		t.ExitOffload.Inc()
-	}
+// Window is a target's merged counts over one trailing horizon.
+type Window struct {
+	Counts
+	// covered is the wall time the merged slots span, clamped to the
+	// target's age — so a young target under load reports its true rate
+	// instead of diluting it over an empty window.
+	covered time.Duration
 }
 
-// ObserveExits records a batch of exit decisions in one shot — the shape
-// telemetry piggybacking delivers them in (N local exits ride along with
-// one offloaded request).
-func (t *Target) ObserveExits(local, offload int64) {
-	if local > 0 {
-		t.ExitLocal.Add(local)
+// Rate returns requests per second over the covered time (0 when none
+// is covered yet).
+func (w Window) Rate() float64 {
+	if w.covered <= 0 {
+		return 0
 	}
-	if offload > 0 {
-		t.ExitOffload.Add(offload)
-	}
+	return float64(w.Requests) / (float64(w.covered) / float64(time.Second))
 }
 
-// ObserveCache records one edge answer-cache lookup.
-func (t *Target) ObserveCache(hit bool) {
-	if hit {
-		t.CacheHits.Inc()
-	} else {
-		t.CacheMisses.Inc()
+// LatencyP99 returns the windowed p99 latency in seconds (obs.NoData
+// when no request succeeded) and the successful-request count.
+func (w Window) LatencyP99() (float64, int64) {
+	var n int64
+	for _, c := range w.Latency {
+		n += c
 	}
+	return obs.QuantileFromCounts(latencyBounds, w.Latency, 0.99), n
 }
+
+// ErrorRate returns the errored fraction of requests and the request
+// count; obs.NoData when there were none.
+func (w Window) ErrorRate() (float64, int64) {
+	return ratio(w.Errors, w.Requests-w.Errors)
+}
+
+// AgreeRate returns the binary-vs-main agreement and the judged count.
+func (w Window) AgreeRate() (float64, int64) { return ratio(w.Agree, w.Disagree) }
+
+// ExitRate returns the local early-exit fraction and the decision count.
+func (w Window) ExitRate() (float64, int64) { return ratio(w.LocalExits, w.Offloaded) }
+
+// CacheHitRate returns the answer-cache hit fraction and the lookup count.
+func (w Window) CacheHitRate() (float64, int64) { return ratio(w.CacheHits, w.CacheMisses) }
 
 // ratio returns num/(num+den) with obs.NoData when the denominator is
 // empty, plus the sample count.
@@ -539,24 +645,4 @@ func ratio(num, den int64) (float64, int64) {
 		return obs.NoData, 0
 	}
 	return float64(num) / float64(total), total
-}
-
-func (t *Target) errorRate(d time.Duration) (float64, int64) {
-	total := t.Requests.TotalWithin(d)
-	if total <= 0 {
-		return obs.NoData, 0
-	}
-	return float64(t.Errors.TotalWithin(d)) / float64(total), total
-}
-
-func (t *Target) agreeRate(d time.Duration) (float64, int64) {
-	return ratio(t.AgreeYes.TotalWithin(d), t.AgreeNo.TotalWithin(d))
-}
-
-func (t *Target) exitRate(d time.Duration) (float64, int64) {
-	return ratio(t.ExitLocal.TotalWithin(d), t.ExitOffload.TotalWithin(d))
-}
-
-func (t *Target) cacheHitRate(d time.Duration) (float64, int64) {
-	return ratio(t.CacheHits.TotalWithin(d), t.CacheMisses.TotalWithin(d))
 }

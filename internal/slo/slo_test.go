@@ -1,8 +1,11 @@
 package slo
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +35,6 @@ func testConfig() Config {
 	return Config{
 		Window:       24 * time.Second,
 		FastWindow:   8 * time.Second,
-		Buckets:      12, // 2s buckets
 		MinSamples:   6,
 		LatencyP99:   100 * time.Millisecond,
 		MaxErrorRate: 0.1,
@@ -42,12 +44,23 @@ func testConfig() Config {
 	}
 }
 
+// served is one successful 10ms request whose telemetry judged the
+// binary answer (agree) and reported one exit decision (local or
+// offloaded).
+func served(agree, local bool) Request {
+	r := Request{Latency: 10 * time.Millisecond, Judged: true, Agree: agree, Offloaded: 1}
+	if local {
+		r.LocalExits, r.Offloaded = 1, 0
+	}
+	return r
+}
+
 func TestConfigValidate(t *testing.T) {
 	var c Config
 	if err := c.Validate(); err != nil {
 		t.Fatalf("zero config must validate with defaults: %v", err)
 	}
-	if c.Window != 60*time.Second || c.FastWindow != 10*time.Second || c.Buckets != 12 || c.MinSamples != 20 {
+	if c.Window != 60*time.Second || c.FastWindow != 10*time.Second || c.MinSamples != 20 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	bad := []Config{
@@ -55,7 +68,7 @@ func TestConfigValidate(t *testing.T) {
 		{MinAgreement: 1.5},
 		{MaxErrorRate: -0.5},
 		{ExitRateMin: 0.9, ExitRateMax: 0.5},
-		{Window: 7 * time.Second, Buckets: 3},
+		{Window: 7 * time.Second, FastWindow: time.Second}, // not divisible into Slots
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -88,12 +101,12 @@ func TestNoDataState(t *testing.T) {
 
 	// Below MinSamples stays no_data even with violating observations.
 	for i := 0; i < 5; i++ {
-		tgt.ObserveInfer(time.Second, false) // way over the 100ms p99
+		tgt.Observe(Request{Latency: time.Second}) // way over the 100ms p99
 	}
 	if st := e.gradeObjective(tgt, ObjLatencyP99); st.State != StateNoData {
 		t.Fatalf("latency state below MinSamples = %q, want no_data", st.State)
 	}
-	tgt.ObserveInfer(time.Second, false) // 6th sample crosses MinSamples
+	tgt.Observe(Request{Latency: time.Second}) // 6th sample crosses MinSamples
 	if st := e.gradeObjective(tgt, ObjLatencyP99); st.State != StateFastBurn {
 		t.Fatalf("latency state at MinSamples with 1s observes = %q, want fast_burn", st.State)
 	}
@@ -110,9 +123,7 @@ func TestBurnLadder(t *testing.T) {
 
 	// Healthy baseline: fast requests, good agreement, mid-band exits.
 	for i := 0; i < 20; i++ {
-		tgt.ObserveInfer(10*time.Millisecond, false)
-		tgt.ObserveAgreement(true)
-		tgt.ObserveExit(i%2 == 0)
+		tgt.Observe(served(true, i%2 == 0))
 		clk.Advance(100 * time.Millisecond)
 	}
 	v := e.Evaluate()
@@ -124,9 +135,7 @@ func TestBurnLadder(t *testing.T) {
 	// after recovery starts, the bad burst leaves the 8s fast window
 	// well before the 24s long window forgives it — the slow_burn gap.
 	for i := 0; i < 60; i++ {
-		tgt.ObserveInfer(10*time.Millisecond, false)
-		tgt.ObserveAgreement(false)
-		tgt.ObserveExit(i%2 == 0)
+		tgt.Observe(served(false, i%2 == 0))
 		clk.Advance(100 * time.Millisecond)
 	}
 	st := e.gradeObjective(tgt, ObjAgreement)
@@ -146,9 +155,7 @@ func TestBurnLadder(t *testing.T) {
 	// (slow_burn while the long window still violates), then ok.
 	sawSlow := false
 	for i := 0; i < 300; i++ {
-		tgt.ObserveInfer(10*time.Millisecond, false)
-		tgt.ObserveAgreement(true)
-		tgt.ObserveExit(i%2 == 0)
+		tgt.Observe(served(true, i%2 == 0))
 		clk.Advance(100 * time.Millisecond)
 		if e.gradeObjective(tgt, ObjAgreement).State == StateSlowBurn {
 			sawSlow = true
@@ -176,7 +183,7 @@ func TestExitRateBand(t *testing.T) {
 
 	// Exit rate pinned at 0: below the band floor → burn (edge flooded).
 	for i := 0; i < 30; i++ {
-		tgt.ObserveExit(false)
+		tgt.Observe(Request{Offloaded: 1})
 		clk.Advance(100 * time.Millisecond)
 	}
 	st := e.gradeObjective(tgt, ObjExitRate)
@@ -198,7 +205,7 @@ func TestErrorRateObjective(t *testing.T) {
 	tgt := e.Target("demo", "v1")
 
 	for i := 0; i < 30; i++ {
-		tgt.ObserveInfer(10*time.Millisecond, i%2 == 0) // 50% errors
+		tgt.Observe(Request{Latency: 10 * time.Millisecond, Failed: i%2 == 0}) // 50% errors
 		clk.Advance(100 * time.Millisecond)
 	}
 	if st := e.gradeObjective(tgt, ObjErrorRate); st.State != StateFastBurn {
@@ -230,8 +237,8 @@ func TestPerVersionIsolation(t *testing.T) {
 	}
 
 	for i := 0; i < 30; i++ {
-		a.ObserveAgreement(true)
-		b.ObserveAgreement(false)
+		a.Observe(Request{Judged: true, Agree: true})
+		b.Observe(Request{Judged: true, Agree: false})
 		clk.Advance(100 * time.Millisecond)
 	}
 	if st := e.gradeObjective(a, ObjAgreement); st.State != StateOK {
@@ -266,10 +273,9 @@ func TestGaugesReconcileWithVerdict(t *testing.T) {
 	e.SetClock(clk.Now)
 	tgt := e.Target("demo", "v1")
 	for i := 0; i < 30; i++ {
-		tgt.ObserveInfer(10*time.Millisecond, false)
-		tgt.ObserveAgreement(false) // burn the agreement floor
-		tgt.ObserveExit(true)
-		tgt.ObserveCache(i%2 == 0)
+		r := served(false, true) // burn the agreement floor
+		r.CacheHit, r.CacheMiss = i%2 == 0, i%2 != 0
+		tgt.Observe(r)
 		clk.Advance(100 * time.Millisecond)
 	}
 
@@ -313,7 +319,7 @@ func TestBurnDecaysToNoData(t *testing.T) {
 	e.SetClock(clk.Now)
 	tgt := e.Target("demo", "v1")
 	for i := 0; i < 30; i++ {
-		tgt.ObserveAgreement(false)
+		tgt.Observe(Request{Judged: true, Agree: false})
 	}
 	if st := e.gradeObjective(tgt, ObjAgreement); st.State != StateFastBurn {
 		t.Fatalf("setup: state = %q, want fast_burn", st.State)
@@ -324,5 +330,227 @@ func TestBurnDecaysToNoData(t *testing.T) {
 	}
 	if v := e.Evaluate(); !v.Healthy {
 		t.Fatal("drained engine must be healthy (no_data is not a 503)")
+	}
+}
+
+// ringTarget returns a target on a 12s window (1s slots) read through
+// clk, created at clk's current time.
+func ringTarget(t *testing.T, clk *fakeClock) *Target {
+	t.Helper()
+	e, err := New(Config{Window: Slots * time.Second, FastWindow: time.Second}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetClock(clk.Now)
+	return e.Target("demo", "v1")
+}
+
+func observeN(tgt *Target, n int, r Request) {
+	for i := 0; i < n; i++ {
+		tgt.Observe(r)
+	}
+}
+
+func TestRingRotation(t *testing.T) {
+	clk := newFakeClock()
+	tgt := ringTarget(t, clk)
+
+	// 3 requests now, 2 requests 4s later.
+	observeN(tgt, 3, Request{})
+	clk.Advance(4 * time.Second)
+	observeN(tgt, 2, Request{})
+
+	if got := tgt.Window(0).Requests; got != 5 {
+		t.Fatalf("Requests = %d, want 5", got)
+	}
+	if got := tgt.Window(2 * time.Second).Requests; got != 2 {
+		t.Fatalf("trailing 2s Requests = %d, want 2 (only the recent burst)", got)
+	}
+	// The first burst's slot leaves once it is a full window (12s) old.
+	clk.Advance(8 * time.Second)
+	if got := tgt.Window(0).Requests; got != 2 {
+		t.Fatalf("Requests after first burst expired = %d, want 2", got)
+	}
+	clk.Advance(Slots * time.Second)
+	if got := tgt.Window(0).Requests; got != 0 {
+		t.Fatalf("Requests after full expiry = %d, want 0", got)
+	}
+}
+
+// An observation landing exactly on a slot edge belongs to the new slot
+// and survives the full window length from that edge, then leaves with
+// its whole slot.
+func TestRingRotationBoundary(t *testing.T) {
+	clk := newFakeClock()
+	tgt := ringTarget(t, clk)
+	if clk.Now().UnixNano()%int64(time.Second) != 0 {
+		t.Fatal("test setup: not on a slot boundary")
+	}
+	tgt.Observe(Request{})
+	clk.Advance(Slots*time.Second - time.Millisecond)
+	if got := tgt.Window(0).Requests; got != 1 {
+		t.Fatalf("Requests just inside the window = %d, want 1", got)
+	}
+	clk.Advance(time.Millisecond)
+	if got := tgt.Window(0).Requests; got != 0 {
+		t.Fatalf("Requests at the window edge = %d, want 0", got)
+	}
+}
+
+// Ring slots are recycled in place: an epoch landing on the slot of an
+// expired one must reset every count, not accumulate into stale data.
+func TestRingSlotRecycle(t *testing.T) {
+	clk := newFakeClock()
+	tgt := ringTarget(t, clk)
+	tgt.Observe(Request{Failed: true, CacheHit: true})
+	tgt.Observe(Request{Latency: 3 * time.Second, LocalExits: 100, Judged: true})
+	clk.Advance(Slots * time.Second) // the same slot, one ring later
+	tgt.Observe(Request{Offloaded: 1})
+	w := tgt.Window(0)
+	_, latencies := w.LatencyP99()
+	if w.Requests != 1 || w.Errors != 0 || w.CacheHits != 0 || w.LocalExits != 0 ||
+		w.Disagree != 0 || w.Offloaded != 1 || latencies != 1 {
+		t.Fatalf("recycled slot = %+v, want only the new request", w.Counts)
+	}
+}
+
+func TestRingCoveredRate(t *testing.T) {
+	clk := newFakeClock()
+	tgt := ringTarget(t, clk)
+
+	// 20 requests over 2s on a target only 2s old: the rate divisor is the
+	// covered wall time, not the full 12s window — a young target under
+	// load reports its true rate.
+	observeN(tgt, 10, Request{})
+	clk.Advance(2 * time.Second)
+	observeN(tgt, 10, Request{})
+	if rate := tgt.Window(0).Rate(); rate != 10 {
+		t.Fatalf("young-target Rate = %v, want 10/s (covered-time divisor)", rate)
+	}
+
+	// Once the target is older than the window, the divisor is the time
+	// the included slots span: 11s when now sits on a slot edge, 11.5s
+	// half a slot later (slot-granular coverage).
+	clk.Advance(2 * Slots * time.Second)
+	observeN(tgt, 33, Request{})
+	if rate := tgt.Window(0).Rate(); rate != 3 {
+		t.Fatalf("steady-state Rate = %v, want 3/s (33 requests over 11s)", rate)
+	}
+	clk.Advance(500 * time.Millisecond)
+	if rate := tgt.Window(0).Rate(); math.Abs(rate-33/11.5) > 1e-12 {
+		t.Fatalf("mid-slot Rate = %v, want %v (33 requests over 11.5s)", rate, 33/11.5)
+	}
+}
+
+// The windowed p99 is the cumulative histogram's estimate over the
+// trailing slots: same buckets, same interpolation, same NoData.
+func TestRingTrailingQuantile(t *testing.T) {
+	clk := newFakeClock()
+	tgt := ringTarget(t, clk)
+	if p, n := tgt.Window(0).LatencyP99(); p != obs.NoData || n != 0 {
+		t.Fatalf("empty window p99 = %v over %d, want NoData over 0", p, n)
+	}
+
+	// Old slow requests, then fast recent ones: the trailing window must
+	// forget the slow phase once it expires.
+	slow, fast := 3500*time.Millisecond, 400*time.Millisecond
+	hist := obs.NewRegistry().Histogram("lat", "", obs.LatencyBuckets())
+	observeN(tgt, 10, Request{Latency: slow})
+	clk.Advance(5 * time.Second)
+	observeN(tgt, 10, Request{Latency: fast})
+	observeN(tgt, 5, Request{Latency: time.Hour, Failed: true}) // excluded
+	for i := 0; i < 10; i++ {
+		hist.ObserveDuration(slow)
+		hist.ObserveDuration(fast)
+	}
+	if p, n := tgt.Window(0).LatencyP99(); p != hist.Quantile(0.99) || n != 20 {
+		t.Fatalf("full-window p99 = %v over %d, want the cumulative %v over 20", p, n, hist.Quantile(0.99))
+	}
+	if p, n := tgt.Window(2 * time.Second).LatencyP99(); p > 0.5 || n != 10 {
+		t.Fatalf("trailing-2s p99 = %v over %d, want <= 0.5s over 10 (slow phase excluded)", p, n)
+	}
+	clk.Advance(8 * time.Second) // the slow phase's slot leaves the window
+	if p, _ := tgt.Window(0).LatencyP99(); p > 0.5 {
+		t.Fatalf("p99 after the slow phase expired = %v, want <= 0.5s", p)
+	}
+	clk.Advance(Slots * time.Second)
+	if p, _ := tgt.Window(0).LatencyP99(); p != obs.NoData {
+		t.Fatalf("fully expired p99 = %v, want NoData", p)
+	}
+}
+
+// After a burst stops, expiry needs no background goroutine: reads
+// alone observe the decay to zero.
+func TestRingDecayWithoutWriters(t *testing.T) {
+	clk := newFakeClock()
+	tgt := ringTarget(t, clk)
+	observeN(tgt, 7, Request{})
+	clk.Advance(Slots*time.Second + time.Second)
+	if w := tgt.Window(0); w.Requests != 0 || w.Rate() != 0 {
+		t.Fatalf("window after idle expiry = %d requests at %v/s, want 0 without any writer", w.Requests, w.Rate())
+	}
+}
+
+// Rotation is exact under concurrency: G writers each make M Observe
+// calls while the clock is pushed into the next slot mid-run and readers
+// merge the ring throughout, and the window holds exactly G×M requests —
+// none dropped or misfiled by the rotation. Run it under -race.
+func TestRingConcurrentWriters(t *testing.T) {
+	const G, M = 8, 2000
+	clk := newFakeClock()
+	clk.Advance(500 * time.Millisecond) // mid-slot, so a 1ms window sees one slot
+	tgt := ringTarget(t, clk)
+
+	var done atomic.Int64
+	rotated := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					w := tgt.Window(0)
+					_ = w.Rate()
+					_, _ = w.LatencyP99()
+				}
+			}
+		}()
+	}
+	for g := 0; g < G; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < M; i++ {
+				if i == M/2 {
+					<-rotated // every writer's second half lands after the rotation
+				}
+				tgt.Observe(Request{Latency: time.Millisecond, Judged: true, Agree: i%2 == 0, Offloaded: 1})
+				done.Add(1)
+			}
+		}()
+	}
+	// Rotate once a quarter of the calls are in, racing the writers still
+	// in their first half.
+	for done.Load() < G*M/4 {
+		runtime.Gosched()
+	}
+	clk.Advance(time.Second)
+	close(rotated)
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	w := tgt.Window(0)
+	_, latencies := w.LatencyP99()
+	if w.Requests != G*M || w.Offloaded != G*M || w.Agree+w.Disagree != G*M || latencies != G*M {
+		t.Fatalf("window = %+v, want exactly %d of each", w.Counts, G*M)
+	}
+	if after := tgt.Window(time.Millisecond).Requests; after < G*M/2 || after > G*M*3/4 {
+		t.Fatalf("%d requests after the rotation, want between %d and %d", after, G*M/2, G*M*3/4)
 	}
 }

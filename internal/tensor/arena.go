@@ -60,12 +60,6 @@ func (a *Arena) Reset() {
 	a.fOff, a.iOff, a.hOff = 0, 0, 0
 }
 
-// FootprintBytes returns the total slab capacity in bytes, for diagnostics
-// and capacity planning (per-replica steady-state scratch).
-func (a *Arena) FootprintBytes() int64 {
-	return int64(len(a.floats))*4 + int64(len(a.ints))*8 + int64(len(a.hdrs))*8 // hdr size approximated
-}
-
 // Floats returns an n-length scratch slice valid until the next Reset.
 // Contents are unspecified; the caller must write every element it reads.
 func (a *Arena) Floats(n int) []float32 {

@@ -67,14 +67,6 @@ func (t *Tensor) AddScaled(s float32, o *Tensor) {
 	}
 }
 
-// Apply replaces every element v with f(v) in place and returns t.
-func (t *Tensor) Apply(f func(float32) float32) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-	return t
-}
-
 // Sign writes sign(src) into dst using the convention sign(0) = +1, the
 // binarization used by XNOR-Net style networks.
 func Sign(dst, src *Tensor) {

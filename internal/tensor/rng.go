@@ -35,9 +35,6 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Split derives an independent child generator. Use one child per
 // concurrent consumer so goroutines never share a rand.Rand.
 func (g *RNG) Split() *RNG { return NewRNG(g.r.Int63()) }

@@ -11,7 +11,7 @@ import (
 )
 
 // Tensor is a dense, row-major float32 array with an explicit shape.
-// The zero value is an empty tensor; use New, Zeros or the RNG helpers to
+// The zero value is an empty tensor; use New or the RNG helpers to
 // create usable tensors.
 type Tensor struct {
 	// Shape holds the extent of each dimension, outermost first.
@@ -26,10 +26,6 @@ func New(shape ...int) *Tensor {
 	n := checkShape(shape)
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
-
-// Zeros is an alias for New, kept for readability at call sites that
-// contrast zero tensors with randomly initialized ones.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Ones creates a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor {

@@ -90,7 +90,7 @@ func Run(m *models.Composite, train, eval *dataset.Dataset, opts Options) (*Resu
 			shared := m.ForwardShared(b.X, true)
 			logits := m.ForwardMainRest(shared, true)
 			loss, dlogits := nn.SoftmaxCrossEntropy(logits, b.Labels)
-			mainLoss += loss * float64(len(b.Labels))
+			mainLoss += float64(loss * float64(len(b.Labels)))
 			dshared := m.MainRest.Backward(dlogits)
 			m.Shared.Backward(dshared)
 			if opts.ClipNorm > 0 {
@@ -105,7 +105,7 @@ func Run(m *models.Composite, train, eval *dataset.Dataset, opts Options) (*Resu
 			sharedEval := m.ForwardShared(b.X, false)
 			blogits := m.ForwardBinary(sharedEval, true)
 			bloss, dblogits := nn.SoftmaxCrossEntropy(blogits, b.Labels)
-			binLoss += bloss * float64(len(b.Labels))
+			binLoss += float64(bloss * float64(len(b.Labels)))
 			m.Binary.Backward(dblogits)
 			if opts.ClipNorm > 0 {
 				nn.ClipGradients(m.BinaryParams(), opts.ClipNorm)
