@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	lcrs-client -server http://127.0.0.1:8080 -model demo -ckpt lenet-mnist.lcrs -dataset mnist -n 20
+//	lcrs-client -server http://127.0.0.1:8080 -model demo -pack lenet-mnist.lcpk -dataset mnist -n 20
 //
-// The checkpoint is only read for its header (architecture, configuration
-// and screened tau); weights always come from the server's bundle.
+// The deploy pack is only read for its manifest (architecture,
+// configuration and screened tau); weights always come from the server's
+// bundle.
 package main
 
 import (
@@ -27,11 +28,11 @@ func main() {
 	var (
 		server = flag.String("server", "http://127.0.0.1:8080", "edge server base URL")
 		model  = flag.String("model", "demo", "model name on the server")
-		ckpt   = flag.String("ckpt", "", "checkpoint path for header metadata (required)")
+		pack   = flag.String("pack", "", "deploy pack (.lcpk) whose manifest gives the architecture, configuration and tau (required)")
 		dsName = flag.String("dataset", "mnist", "dataset to sample from (mnist, fashion, cifar10, cifar100, logos)")
 		n      = flag.Int("n", 20, "number of samples to recognize")
-		seed   = flag.Int64("seed", 0, "sample generation seed; 0 reuses the checkpoint's seed (the synthetic class prototypes are seed-defined, so a different seed is a different task)")
-		tau    = flag.Float64("tau", -1, "override exit threshold (default: from checkpoint header)")
+		seed   = flag.Int64("seed", 0, "sample generation seed; 0 reuses the pack's seed (the synthetic class prototypes are seed-defined, so a different seed is a different task)")
+		tau    = flag.Float64("tau", -1, "override exit threshold (default: the pack's screened tau)")
 		codec  = flag.String("codec", "raw", "preferred offload wire codec (raw, f16, q8..q2); negotiated with the server, falls back to raw")
 		pinTau = flag.Bool("pin-tau", false, "ignore tau updates pushed by the edge's controller, keeping the starting threshold for the whole session")
 		cache  = flag.Int("session-cache", 0, "session recognition cache capacity: identical offload payloads are answered locally from the last edge answer (0 disables)")
@@ -39,27 +40,27 @@ func main() {
 		pinVer = flag.Bool("pin-version", false, "pin offloads to the downloaded bundle's model version; an edge hot-swap then fails the session instead of serving cross-version answers")
 	)
 	flag.Parse()
-	if *ckpt == "" {
-		fmt.Fprintln(os.Stderr, "lcrs-client: -ckpt is required")
+	if *pack == "" {
+		fmt.Fprintln(os.Stderr, "lcrs-client: -pack is required")
 		os.Exit(2)
 	}
-	f, err := os.Open(*ckpt)
+	data, err := os.ReadFile(*pack)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-client:", err)
 		os.Exit(1)
 	}
-	_, hdr, err := modelio.LoadModelFile(f)
-	f.Close()
+	p, err := modelio.OpenPack(data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-client:", err)
 		os.Exit(1)
 	}
-	threshold := hdr.Tau
+	man := p.Manifest
+	threshold := man.Tau
 	if *tau >= 0 {
 		threshold = *tau
 	}
 	if *seed == 0 {
-		*seed = hdr.Config.Seed
+		*seed = man.Config.Seed
 	}
 
 	var ds *dataset.Dataset
@@ -91,7 +92,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lcrs-client:", err)
 		os.Exit(1)
 	}
-	if err := c.LoadModel(ctx, *model, hdr.Arch, hdr.Config, threshold); err != nil {
+	if err := c.LoadModel(ctx, *model, man.Arch, man.Config, threshold); err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-client:", err)
 		os.Exit(1)
 	}

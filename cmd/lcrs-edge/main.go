@@ -4,15 +4,14 @@
 //
 // Usage:
 //
-//	lcrs-edge -addr :8080 -model demo=lenet-mnist.lcrs -model webar=webar.lcrs
+//	lcrs-edge -addr :8080 -pack demo=lenet-mnist.lcpk -pack webar=webar.lcpk
 //	lcrs-edge -addr :8080 -pack demo=lenet-mnist.lcpk -watch-pack 5s
 //
-// -model serves a bare checkpoint; -pack serves a deploy pack (lcrs-train
-// -pack), which additionally carries the screened tau, codec default and
-// the artifact itself for clients to mirror. With -watch-pack the pack
-// files are polled and a changed pack is hot-swapped in with zero downtime:
-// in-flight requests finish on the old version, new requests see the new
-// one (DESIGN.md section 15).
+// Each -pack serves a deploy pack written by lcrs-train: the weights with
+// their screened tau, codec default and the artifact itself for clients to
+// mirror. With -watch-pack the pack files are polled and a changed pack is
+// hot-swapped in with zero downtime: in-flight requests finish on the old
+// version, new requests see the new one (DESIGN.md section 15).
 package main
 
 import (
@@ -40,21 +39,21 @@ import (
 // -ldflags "-X main.version=v1.2.3".
 var version = "dev"
 
-// modelFlags collects repeated -model name=path pairs.
-type modelFlags []string
+// packFlags collects repeated -pack name=path pairs.
+type packFlags []string
 
-func (m *modelFlags) String() string { return strings.Join(*m, ",") }
+func (p *packFlags) String() string { return strings.Join(*p, ",") }
 
-func (m *modelFlags) Set(v string) error {
+func (p *packFlags) Set(v string) error {
 	if !strings.Contains(v, "=") {
 		return fmt.Errorf("want name=path, got %q", v)
 	}
-	*m = append(*m, v)
+	*p = append(*p, v)
 	return nil
 }
 
 func main() {
-	var mf modelFlags
+	var pf packFlags
 	addr := flag.String("addr", ":8080", "listen address")
 	verbose := flag.Bool("verbose", false, "log every request (structured, with request IDs)")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines instead of key=value text (implies -verbose)")
@@ -75,17 +74,15 @@ func main() {
 	sloAgree := flag.Float64("slo-min-agreement", 0, "binary-vs-main agreement floor objective in [0,1]; 0 disables")
 	sloExitMin := flag.Float64("slo-exit-min", 0, "lower bound of the early-exit rate band objective")
 	sloExitMax := flag.Float64("slo-exit-max", 0, "upper bound of the early-exit rate band objective; 0 disables the band")
-	flag.Var(&mf, "model", "name=checkpoint.lcrs (repeatable)")
-	var pf modelFlags
 	flag.Var(&pf, "pack", "name=deploy.lcpk model pack to serve (repeatable); packs carry tau, codec default and the mirrorable artifact")
 	watchPack := flag.Duration("watch-pack", 0, "poll -pack files at this interval and hot-swap changed packs in with zero downtime (0 disables)")
 	flag.Parse()
-	if len(mf) == 0 && len(pf) == 0 {
-		fmt.Fprintln(os.Stderr, "lcrs-edge: at least one -model or -pack name=path is required")
+	if len(pf) == 0 {
+		fmt.Fprintln(os.Stderr, "lcrs-edge: at least one -pack name=path is required")
 		os.Exit(2)
 	}
-	if *watchPack < 0 || (*watchPack > 0 && len(pf) == 0) {
-		fmt.Fprintln(os.Stderr, "lcrs-edge: -watch-pack needs a non-negative interval and at least one -pack")
+	if *watchPack < 0 {
+		fmt.Fprintln(os.Stderr, "lcrs-edge: -watch-pack needs a non-negative interval")
 		os.Exit(2)
 	}
 
@@ -173,26 +170,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "lcrs-edge: pprof:", err)
 			}
 		}()
-	}
-	for _, spec := range mf {
-		name, path, _ := strings.Cut(spec, "=")
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-edge:", err)
-			os.Exit(1)
-		}
-		m, hdr, err := modelio.LoadModelFile(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lcrs-edge: load %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		v, err := srv.Register(name, m)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-edge:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("registered %s: %s (%d classes, tau %.4f) version %s\n", name, hdr.Arch, hdr.Config.Classes, hdr.Tau, v)
 	}
 	for _, spec := range pf {
 		name, path, _ := strings.Cut(spec, "=")

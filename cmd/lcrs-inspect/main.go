@@ -1,12 +1,11 @@
 // Command lcrs-inspect prints a layer-by-layer summary of a trained LCRS
-// checkpoint or of a freshly built architecture: per-layer output shapes,
+// deploy pack or of a freshly built architecture: per-layer output shapes,
 // parameters, deployed bytes (bit-packed for binary layers) and FLOPs, plus
 // the aggregate main-model and browser-bundle sizes. Pointed at a running
 // edge server it instead renders the server's live decision telemetry.
 //
 // Usage:
 //
-//	lcrs-inspect -ckpt demo.lcrs
 //	lcrs-inspect -pack demo.lcpk          # deploy pack: manifest, version, sections
 //	lcrs-inspect -arch alexnet            # paper-size build, CIFAR10 shape
 //	lcrs-inspect -arch vgg16 -scale 0.25
@@ -33,12 +32,11 @@ import (
 
 func main() {
 	var (
-		ckpt    = flag.String("ckpt", "", "checkpoint to inspect")
 		pack    = flag.String("pack", "", "deploy pack (.lcpk) to inspect: manifest, content version and section layout")
-		arch    = flag.String("arch", "", "architecture to build instead of loading a checkpoint")
+		arch    = flag.String("arch", "", "architecture to build instead of loading a pack")
 		scale   = flag.Float64("scale", 1, "width scale when building from -arch")
 		classes = flag.Int("classes", 10, "classes when building from -arch")
-		server  = flag.String("server", "", "running edge server base URL to inspect instead of a checkpoint")
+		server  = flag.String("server", "", "running edge server base URL to inspect instead of a pack")
 		view    = flag.String("view", "exitstats", "remote view when -server is set: exitstats, journal or slo")
 		traceID = flag.String("trace", "", "render the client→edge span waterfall for this trace (or request) ID; requires -server")
 	)
@@ -63,42 +61,25 @@ func main() {
 		return
 	}
 
-	var m *models.Composite
 	switch {
 	case *pack != "":
 		if err := inspectPack(*pack); err != nil {
 			fmt.Fprintln(os.Stderr, "lcrs-inspect:", err)
 			os.Exit(1)
 		}
-		return
-	case *ckpt != "":
-		f, err := os.Open(*ckpt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-inspect:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		loaded, hdr, err := modelio.LoadModelFile(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-inspect:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpoint: arch=%s tau=%.4f seed=%d\n", hdr.Arch, hdr.Tau, hdr.Config.Seed)
-		m = loaded
 	case *arch != "":
-		built, err := models.Build(*arch, models.Config{
+		m, err := models.Build(*arch, models.Config{
 			Classes: *classes, InC: 3, InH: 32, InW: 32, WidthScale: *scale, Seed: 1,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lcrs-inspect:", err)
 			os.Exit(1)
 		}
-		m = built
+		fmt.Print(m.Summary())
 	default:
-		fmt.Fprintln(os.Stderr, "lcrs-inspect: one of -ckpt, -pack or -arch is required")
+		fmt.Fprintln(os.Stderr, "lcrs-inspect: one of -pack or -arch is required")
 		os.Exit(2)
 	}
-	fmt.Print(m.Summary())
 }
 
 // inspectPack verifies a deploy pack's digest and prints its manifest,

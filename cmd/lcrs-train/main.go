@@ -1,17 +1,13 @@
 // Command lcrs-train jointly trains an LCRS composite model (Algorithm 1)
 // on one of the bundled synthetic datasets or the Web AR logo set, screens
-// the entropy exit threshold, and writes a self-describing checkpoint that
-// lcrs-edge can serve.
+// the entropy exit threshold, and writes a deploy pack: checkpoint, browser
+// bundle, screened tau and a manifest under one content digest, ready for
+// lcrs-edge -pack (and -watch-pack zero-downtime deploys).
 //
 // Usage:
 //
-//	lcrs-train -arch lenet -dataset mnist -out lenet-mnist.lcrs
-//	lcrs-train -arch resnet18 -dataset logos -scale 0.25 -epochs 12 -out webar.lcrs
-//	lcrs-train -arch lenet -dataset mnist -out lenet-mnist.lcrs -pack lenet-mnist.lcpk
-//
-// -pack additionally writes a single-file deploy pack: checkpoint, browser
-// bundle, screened tau and a manifest under one content digest, ready for
-// lcrs-edge -pack / -watch-pack zero-downtime deploys.
+//	lcrs-train -arch lenet -dataset mnist -out lenet-mnist.lcpk
+//	lcrs-train -arch resnet18 -dataset logos -scale 0.25 -epochs 12 -out webar.lcpk
 package main
 
 import (
@@ -35,8 +31,7 @@ func main() {
 		batch   = flag.Int("batch", 32, "minibatch size")
 		scale   = flag.Float64("scale", 0.15, "width scale (1.0 = paper-size model)")
 		seed    = flag.Int64("seed", 1, "seed for data, init and shuffling")
-		out     = flag.String("out", "", "checkpoint output path (required)")
-		pack    = flag.String("pack", "", "also write a deploy pack (.lcpk) here: checkpoint + browser bundle + screened tau under one content digest")
+		out     = flag.String("out", "", "deploy pack (.lcpk) output path (required)")
 		label   = flag.String("label", "", "free-form label stored in the pack manifest (default: arch-dataset)")
 	)
 	flag.Parse()
@@ -88,37 +83,23 @@ func main() {
 	fmt.Printf("sizes: main %.2f MB, browser bundle %.3f MB\n",
 		float64(m.MainSizeBytes())/(1<<20), float64(m.BinarySizeBytes())/(1<<20))
 
-	f, err := os.Create(*out)
+	if *label == "" {
+		*label = *arch + "-" + *dsName
+	}
+	man := modelio.PackManifest{Arch: *arch, Config: cfg, Tau: tau, Label: *label}
+	data, err := modelio.EncodePack(man, m)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-train:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	if err := modelio.SaveModelFile(f, modelio.FileHeader{Arch: *arch, Config: cfg, Tau: tau}, m); err != nil {
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-train:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("checkpoint written to %s\n", *out)
-
-	if *pack != "" {
-		if *label == "" {
-			*label = *arch + "-" + *dsName
-		}
-		man := modelio.PackManifest{Arch: *arch, Config: cfg, Tau: tau, Label: *label}
-		data, err := modelio.EncodePack(man, m)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-train:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*pack, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-train:", err)
-			os.Exit(1)
-		}
-		p, err := modelio.OpenPack(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lcrs-train:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("deploy pack written to %s: version %s, %d bytes\n", *pack, p.Version(), len(data))
+	p, err := modelio.OpenPack(data)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lcrs-train:", err)
+		os.Exit(1)
 	}
+	fmt.Printf("deploy pack written to %s: version %s, %d bytes\n", *out, p.Version(), len(data))
 }

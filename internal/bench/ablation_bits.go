@@ -6,7 +6,6 @@ import (
 	"lcrs/internal/dataset"
 	"lcrs/internal/models"
 	"lcrs/internal/nn"
-	"lcrs/internal/quantize"
 	"lcrs/internal/tensor"
 	"lcrs/internal/training"
 )
@@ -78,7 +77,7 @@ func quantLeNet(cfg models.Config, bits int) *models.Composite {
 	if bits == 32 {
 		addLayer(nn.NewConv2D("qconv1", g, c1, c2, 5, 5, 1, 2))
 	} else {
-		addLayer(quantize.NewConv2D("qconv1", g, bits, c1, c2, 5, 5, 1, 2))
+		addLayer(newQuantConv2D("qconv1", g, bits, c1, c2, 5, 5, 1, 2))
 	}
 	addLayer(nn.NewMaxPool2D("qpool1", 2, 2, 0))
 	addLayer(nn.NewBatchNorm("qbn1", c2))
@@ -87,7 +86,7 @@ func quantLeNet(cfg models.Config, bits int) *models.Composite {
 	if bits == 32 {
 		addLayer(nn.NewLinear("qfc1", g, features, fc1))
 	} else {
-		addLayer(quantize.NewLinear("qfc1", g, bits, features, fc1))
+		addLayer(newQuantLinear("qfc1", g, bits, features, fc1))
 	}
 	addLayer(nn.NewBatchNorm("qbn2", fc1))
 	addLayer(nn.NewLinear("qout", g, fc1, fc2))

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"lcrs/internal/quantize"
 	"lcrs/internal/tensor"
 )
 
@@ -19,8 +18,8 @@ import (
 //	raw  float32 little-endian, byte-identical to the v1 protocol (default)
 //	f16  IEEE 754 half precision, 2 bytes/element
 //	qK   K-bit per-channel symmetric quantization (K in 2..8) with one
-//	     float32 scale per channel, generalizing internal/quantize from
-//	     weights to activations
+//	     float32 scale per channel, the grid of Levels applied to
+//	     activations
 //
 // Raw frames keep the v1 header so old peers interoperate; every other
 // codec writes a v2 header that carries a codec tag. The decoder accepts
@@ -39,13 +38,24 @@ const (
 	codecQuantBase CodecID = 0x10
 )
 
-// minQuantBits and maxQuantBits bound the supported activation precisions.
+// MaxBits bounds supported quantization precision; beyond 8 bits the
+// float32 values might as well be shipped directly.
+const MaxBits = 8
+
+// Levels returns the number of representable magnitudes per side for k
+// bits: quantized values lie in {-L..L} with L = 2^(k-1) - 1, plus the
+// sign-only special case k=1 (values in {-1, +1}).
+func Levels(k int) int {
+	if k == 1 {
+		return 1
+	}
+	return 1<<(k-1) - 1
+}
+
+// minQuantBits bounds the supported activation precisions from below.
 // k=1 is excluded: the symmetric grid {-L..L} with L=2^(k-1)-1 degenerates
 // at one bit (internal/binary covers the sign/alpha case for weights).
-const (
-	minQuantBits = 2
-	maxQuantBits = quantize.MaxBits
-)
+const minQuantBits = 2
 
 // Codec encodes and decodes the payload section of a tensor frame. The
 // frame header (magic, codec tag, rank, dims) is handled by the protocol
@@ -77,7 +87,7 @@ var Q8 Codec = quantCodec{bits: 8}
 // Codecs lists every supported codec, raw first.
 func Codecs() []Codec {
 	out := []Codec{Raw, F16}
-	for k := maxQuantBits; k >= minQuantBits; k-- {
+	for k := MaxBits; k >= minQuantBits; k-- {
 		out = append(out, quantCodec{bits: k})
 	}
 	return out
@@ -114,7 +124,7 @@ func CodecByID(id CodecID) (Codec, error) {
 		return F16, nil
 	case id&^0x0f == codecQuantBase:
 		k := int(id & 0x0f)
-		if k >= minQuantBits && k <= maxQuantBits {
+		if k >= minQuantBits && k <= MaxBits {
 			return quantCodec{bits: k}, nil
 		}
 	}
@@ -337,7 +347,7 @@ func (c quantCodec) PayloadBytes(shape []int) int64 {
 
 func (c quantCodec) encodePayload(w io.Writer, t *tensor.Tensor) error {
 	groups, size := quantGroups(t.Shape)
-	levels := quantize.Levels(c.bits)
+	levels := Levels(c.bits)
 
 	// Scale table first.
 	scales := make([]float32, groups)
@@ -379,7 +389,7 @@ func (c quantCodec) encodePayload(w io.Writer, t *tensor.Tensor) error {
 
 func (c quantCodec) decodePayload(r io.Reader, shape []int) (*tensor.Tensor, error) {
 	groups, size := quantGroups(shape)
-	levels := quantize.Levels(c.bits)
+	levels := Levels(c.bits)
 
 	scaleBytes, err := readChunked(r, groups*4)
 	if err != nil {

@@ -118,6 +118,15 @@ func TestF16RoundTripBound(t *testing.T) {
 
 // qK reconstruction must stay within the documented per-channel bound
 // maxAbs/(2^k-2) for every supported bit width, over arbitrary shapes.
+func TestLevels(t *testing.T) {
+	cases := map[int]int{1: 1, 2: 1, 3: 3, 4: 7, 8: 127}
+	for k, want := range cases {
+		if got := Levels(k); got != want {
+			t.Errorf("Levels(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
 func TestQuantRoundTripBound(t *testing.T) {
 	for _, c := range Codecs() {
 		qc, ok := c.(quantCodec)

@@ -3,8 +3,8 @@
 // (protocol.go), the offload codecs (codec.go), the content keys both
 // caches agree on (key.go), the request-ID, model-version and trace
 // headers (requestid.go, tracing.go) and the JSON bodies the edge answers
-// with (body.go). Both ends import it, and it imports only tensor and quantize,
-// so the client links no server code. The in-process simulation of the
+// with (body.go). Both ends import it, and it imports only tensor, so the
+// client links no server code. The in-process simulation of the
 // paper's Algorithm 2 lives in internal/edgesim.
 package collab
 

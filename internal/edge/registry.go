@@ -293,7 +293,6 @@ func (s *Server) buildEntry(name string, st *staged) (*entry, error) {
 		// forwards allocate nothing (the CI allocs budget test pins this).
 		r := st.model.CloneForServing()
 		r.WarmMainRest(warm)
-		r.ResetScratch()
 		pool <- r
 	}
 	e := &entry{

@@ -1,14 +1,16 @@
 // Package modelio serializes composite models. Two formats are provided:
 //
 //   - Checkpoint: every tensor (parameters and batch-norm running
-//     statistics) in float32 — the training artifact the edge server loads.
+//     statistics) in float32 — the weights the edge server serves from.
 //   - Browser bundle: what the mobile web browser downloads before it can
 //     run the binary branch — the shared prefix in float32 and every binary
 //     layer as packed sign bits plus per-filter scales. Its encoded length
 //     is the model-loading payload the paper's Table III charges against
 //     each approach.
 //
-// Both formats are deterministic, little-endian, and versioned.
+// Both formats are deterministic, little-endian, and versioned. On disk
+// they travel together in one deploy pack (pack.go), with the screened
+// exit threshold and the architecture that rebuilds the model.
 package modelio
 
 import (

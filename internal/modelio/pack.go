@@ -12,16 +12,16 @@ import (
 	"lcrs/internal/models"
 )
 
-// Versioned model pack — the deploy artifact of the collaborative system.
-// A checkpoint (SaveModelFile) is a training output; a pack is what a
-// fleet ships: the full main-branch weights the edge serves from, the
-// precomputed browser bundle web clients download, the screened exit
-// threshold, and the preferred offload codec, all in ONE file whose
-// content digest names the version. One file means one artifact to rsync,
-// one digest to compare, one ETag to revalidate against — the same
-// single-packed-file discipline that htpack applies to static web assets.
-// One digest also means one version name: a pack's version is a pure
-// function of its bytes.
+// Versioned model pack — the one on-disk model artifact of the
+// collaborative system: lcrs-train writes it and every command that loads
+// a trained model reads it. A pack carries the full main-branch weights
+// the edge serves from, the precomputed browser bundle web clients
+// download, the screened exit threshold, and the preferred offload codec,
+// all in ONE file whose content digest names the version. One file means
+// one artifact to rsync, one digest to compare, one ETag to revalidate
+// against — the same single-packed-file discipline that htpack applies to
+// static web assets. One digest also means one version name: a pack's
+// version is a pure function of its bytes.
 //
 // Layout (little-endian):
 //

@@ -154,14 +154,16 @@ func (m *Composite) ForwardMainRest(t *tensor.Tensor, train bool) *tensor.Tensor
 // WarmMainRest sizes the main-branch-rest scratch (the arena slabs, which
 // hold the conv pack panels, one per worker, and the FC input panels, and
 // the conv layers' per-worker GEMM states) for batches of up to n samples
-// by running one throwaway eval forward on a zero batch. The edge server
-// warms each inference replica this way for its batch cap, so the first
-// coalesced batch pays no allocations.
+// by running one throwaway eval forward on a zero batch, then resetting the
+// scratch: the arena grows its slabs on the reset that follows an
+// overflowing forward. The edge server warms each inference replica this
+// way for its batch cap, so the first coalesced batch pays no allocations.
 func (m *Composite) WarmMainRest(n int) {
 	if n < 1 {
 		n = 1
 	}
 	m.ForwardMainRest(tensor.New(append([]int{n}, m.SharedOutShape()...)...), false)
+	m.ResetScratch()
 }
 
 // ForwardBinary runs the binary branch on a shared-prefix output.
@@ -224,8 +226,8 @@ func layerSizeBytes(l nn.Layer) int64 {
 		}
 		return s
 	case interface{ SizeBytes() int64 }:
-		// Layers that know their own deployed footprint (e.g. k-bit
-		// quantized layers from internal/quantize).
+		// Layers that know their own deployed footprint (e.g. the k-bit
+		// quantized layers of internal/bench's precision ablation).
 		return t.SizeBytes()
 	default:
 		var s int64

@@ -14,10 +14,23 @@ import (
 // this package and internal/nn). The packed XNOR layers of internal/binary
 // run on the calling goroutine.
 
+// chunk is one [lo, hi) slice of a ParallelFor call, handed to a pool
+// worker by value so that offering it allocates nothing.
+type chunk struct {
+	body   func(lo, hi int)
+	lo, hi int
+	done   *sync.WaitGroup
+}
+
 var (
 	poolOnce    sync.Once
-	poolTasks   chan func()
+	poolTasks   chan chunk
 	poolWorkers int
+
+	// waitGroups recycles ParallelFor's completion counters: a WaitGroup
+	// may be reused once Wait has returned, so a split allocates nothing
+	// once the pool holds one counter per concurrent caller.
+	waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 	// maxWorkersOverride caps the number of chunks ParallelFor creates.
 	// Zero (the default) means GOMAXPROCS. Tests set 1 to force serial
@@ -32,14 +45,15 @@ var (
 // chunks while every worker is busy — and if the busy worker is itself
 // blocked in a ParallelFor wait, those buffered chunks never run and the
 // wait never returns.
-func pool() chan func() {
+func pool() chan chunk {
 	poolOnce.Do(func() {
 		poolWorkers = runtime.GOMAXPROCS(0)
-		poolTasks = make(chan func())
+		poolTasks = make(chan chunk)
 		for i := 0; i < poolWorkers; i++ {
 			go func() {
-				for f := range poolTasks {
-					f()
+				for c := range poolTasks {
+					c.body(c.lo, c.hi)
+					c.done.Done()
 				}
 			}()
 		}
@@ -87,24 +101,19 @@ func ParallelFor(n int, body func(lo, hi int)) {
 	}
 	size := (n + chunks - 1) / chunks
 	tasks := pool()
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	for lo := size; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
+		hi := min(lo+size, n)
 		wg.Add(1)
-		f := func() {
-			defer wg.Done()
-			body(lo, hi)
-		}
 		select {
-		case tasks <- f:
+		case tasks <- chunk{body, lo, hi, wg}:
 		default:
-			f() // pool saturated: run inline, guaranteeing progress
+			// Pool saturated: run inline, guaranteeing progress.
+			body(lo, hi)
+			wg.Done()
 		}
 	}
 	body(0, size)
 	wg.Wait()
+	waitGroups.Put(wg)
 }

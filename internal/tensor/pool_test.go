@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -74,5 +75,29 @@ func TestParallelForDisjointWritesDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: element %d differs: %v vs %v", workers, i, got[i], serial[i])
 			}
 		}
+	}
+}
+
+// A split allocates nothing: chunks reach the pool as values and the
+// completion counter is recycled, whether a chunk runs on a worker or
+// inline on a saturated pool.
+func TestParallelForZeroAllocs(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("race runtime allocates; budget only meaningful without -race")
+	}
+	out := make([]float32, 96)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i]++
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			prev := SetMaxWorkers(workers)
+			defer SetMaxWorkers(prev)
+			if avg := testing.AllocsPerRun(100, func() { ParallelFor(len(out), body) }); avg != 0 {
+				t.Fatalf("ParallelFor allocates %.1f objects/call, want 0", avg)
+			}
+		})
 	}
 }

@@ -15,17 +15,19 @@ import (
 // The exit path runs out of reused memory: conv1, the packed binary branch
 // and every float layer between them draw from the client build's arena,
 // and the packed kernels keep their sign-bit scratch and run on the calling
-// goroutine. What a warmed exit recognition still allocates is the
-// tensor.ParallelFor dispatch of conv1's GEMM and of the float classifier,
-// the input reshape and the softmax row: 75 objects and 2.9-3.2 KiB, natively
-// and under js/wasm. The budgets leave a small margin over that.
+// goroutine. tensor.ParallelFor hands its chunks to the pool by value and
+// recycles its completion counter, so conv1's GEMM and the float
+// classifier dispatch allocation-free at any worker count. What a warmed
+// exit recognition still allocates is the input reshape and the softmax
+// row: 7 objects and 0.2 KiB. The object budget is exactly that; the byte
+// budget leaves a margin.
 func TestRecognizeExitAllocs(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("race runtime allocates; budget only meaningful without -race")
 	}
 	const (
 		maxKiB    = 4
-		maxAllocs = 80
+		maxAllocs = 7
 	)
 	cfg := models.Config{Classes: 10, InC: 3, InH: 32, InW: 32, WidthScale: 0.25, Seed: 1}
 	m, err := models.Build("alexnet", cfg)

@@ -19,7 +19,6 @@ var clientDeps = map[string]bool{
 	"lcrs/internal/tensor":     true,
 	"lcrs/internal/nn":         true,
 	"lcrs/internal/binary":     true,
-	"lcrs/internal/quantize":   true,
 	"lcrs/internal/collab":     true,
 	"lcrs/internal/exitpolicy": true,
 	"lcrs/internal/models":     true,
