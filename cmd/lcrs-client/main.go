@@ -49,12 +49,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lcrs-client:", err)
 		os.Exit(1)
 	}
-	p, err := modelio.OpenPack(data)
+	man, _, err := modelio.ReadPackManifest(data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-client:", err)
 		os.Exit(1)
 	}
-	man := p.Manifest
 	threshold := man.Tau
 	if *tau >= 0 {
 		threshold = *tau
@@ -147,8 +146,8 @@ func main() {
 		if res.Pred == label {
 			correct++
 		}
-		totalClient += res.ClientTime
-		totalEdge += res.EdgeTime
+		totalClient += res.Stages.Local
+		totalEdge += res.Stages.RTT
 		totalNet += res.Stages.Network()
 		totalServer += res.Stages.EdgeTotal()
 		totalPayload += res.PayloadBytes
@@ -169,7 +168,7 @@ func main() {
 		}
 		fmt.Printf("sample %2d: pred %d (label %d) via %-6s entropy %.4f client %v edge %v%s\n",
 			i, res.Pred, label, path, res.Entropy,
-			res.ClientTime.Round(time.Microsecond), res.EdgeTime.Round(time.Microsecond), detail)
+			res.Stages.Local.Round(time.Microsecond), res.Stages.RTT.Round(time.Microsecond), detail)
 	}
 	fmt.Printf("\nsession: %d samples, exit rate %.0f%%, accuracy %.0f%%, avg client %v, avg edge %v, offload payload %d bytes (%s)\n",
 		ds.Len(), float64(exits)/float64(ds.Len())*100, float64(correct)/float64(ds.Len())*100,

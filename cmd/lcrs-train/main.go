@@ -96,10 +96,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lcrs-train:", err)
 		os.Exit(1)
 	}
-	p, err := modelio.OpenPack(data)
+	_, version, err := modelio.ReadPackManifest(data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lcrs-train:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("deploy pack written to %s: version %s, %d bytes\n", *out, p.Version(), len(data))
+	fmt.Printf("deploy pack written to %s: version %s, %d bytes\n", *out, version, len(data))
 }

@@ -81,15 +81,15 @@ func main() {
 		}
 		if r.Exited {
 			bins++
-			binLat += r.ClientTime
+			binLat += r.Stages.Local
 			fmt.Printf("scan %2d: brand %d -> %d  LCRS-B %8v\n", i, brand, r.Pred,
-				r.ClientTime.Round(time.Microsecond))
+				r.Stages.Local.Round(time.Microsecond))
 		} else {
 			edges++
-			edgeLat += r.ClientTime + r.EdgeTime
+			edgeLat += r.Stages.Local + r.Stages.RTT
 			fmt.Printf("scan %2d: brand %d -> %d  LCRS-M %8v (edge %v)\n", i, brand, r.Pred,
-				(r.ClientTime + r.EdgeTime).Round(time.Microsecond),
-				r.EdgeTime.Round(time.Microsecond))
+				(r.Stages.Local + r.Stages.RTT).Round(time.Microsecond),
+				r.Stages.RTT.Round(time.Microsecond))
 		}
 	}
 

@@ -1,5 +1,5 @@
 // Package baseline implements the comparison systems of the paper's Tables
-// II/III and Figure 7: Mobile-only, Edge-only, Neurosurgeon (min-latency
+// II/III and Figure 7: Mobile-only, Neurosurgeon (min-latency
 // partitioning) and Edgent (partitioning with an early exit). All run over
 // the same device/netsim cost model and the same real layer graphs as LCRS,
 // so the comparison isolates the approaches rather than implementation
@@ -48,8 +48,8 @@ func (e Env) Validate() error {
 type Report struct {
 	// Approach names the system ("neurosurgeon", ...).
 	Approach string
-	// PartitionAfter is the index of the last layer run on the client, -1
-	// when the client runs nothing (edge-only).
+	// PartitionAfter is the index of the last main-branch layer run on the
+	// client; -1 for LCRS, whose client runs none of them.
 	PartitionAfter int
 	// ClientModelBytes is what the browser must download before inference.
 	ClientModelBytes int64
@@ -73,9 +73,9 @@ func (r Report) finish(n int) Report {
 }
 
 // partitionCosts computes the cost report for cutting the main branch after
-// layer index cut (client executes costs[0..cut]). cut = -1 ships the raw
-// input; cut = len(costs)-1 runs everything on the client.
-func partitionCosts(m *models.Composite, costs []models.LayerCost, cut int, env Env) Report {
+// layer index cut (client executes costs[0..cut]); cut = len(costs)-1 runs
+// everything on the client.
+func partitionCosts(costs []models.LayerCost, cut int, env Env) Report {
 	var clientFLOPs, serverFLOPs, clientBytes int64
 	for i, c := range costs {
 		if i <= cut {
@@ -91,12 +91,7 @@ func partitionCosts(m *models.Composite, costs []models.LayerCost, cut int, env 
 	}
 	rep.PerSampleCompute = env.Cost.Client.ComputeTime(clientFLOPs) + env.Cost.Server.ComputeTime(serverFLOPs)
 
-	switch {
-	case cut == len(costs)-1:
-		// Everything on the client: no per-sample communication.
-	case cut < 0:
-		rep.PerSampleComm = env.Cost.Link.UpTime(m.InputBytes()) + env.Cost.Link.DownTime(resultBytes)
-	default:
+	if cut < len(costs)-1 { // anything left for the edge is shipped there
 		rep.PerSampleComm = env.Cost.Link.UpTime(costs[cut].OutBytes) + env.Cost.Link.DownTime(resultBytes)
 	}
 	return rep
@@ -108,19 +103,8 @@ func MobileOnly(m *models.Composite, env Env) (Report, error) {
 		return Report{}, err
 	}
 	costs := models.MainLayerCosts(m)
-	rep := partitionCosts(m, costs, len(costs)-1, env).finish(env.SessionSamples)
+	rep := partitionCosts(costs, len(costs)-1, env).finish(env.SessionSamples)
 	rep.Approach = "mobile-only"
-	return rep, nil
-}
-
-// EdgeOnly uploads every raw sample and runs the whole model at the edge.
-func EdgeOnly(m *models.Composite, env Env) (Report, error) {
-	if err := env.Validate(); err != nil {
-		return Report{}, err
-	}
-	costs := models.MainLayerCosts(m)
-	rep := partitionCosts(m, costs, -1, env).finish(env.SessionSamples)
-	rep.Approach = "edge-only"
 	return rep, nil
 }
 
@@ -153,7 +137,7 @@ func Neurosurgeon(m *models.Composite, env Env) (Report, error) {
 		return Report{}, err
 	}
 	costs := models.MainLayerCosts(m)
-	rep := partitionCosts(m, costs, neurosurgeonCut(costs), env).finish(env.SessionSamples)
+	rep := partitionCosts(costs, neurosurgeonCut(costs), env).finish(env.SessionSamples)
 	rep.Approach = "neurosurgeon"
 	return rep, nil
 }
@@ -187,7 +171,7 @@ func Edgent(m *models.Composite, env Env, opts EdgentOptions) (Report, error) {
 	}
 	costs := models.MainLayerCosts(m)
 	cut := neurosurgeonCut(costs)
-	rep := partitionCosts(m, costs, cut, env)
+	rep := partitionCosts(costs, cut, env)
 	rep.ClientModelBytes += opts.ExitHeadBytes
 	rep.ModelLoad = env.Cost.Link.DownTime(rep.ClientModelBytes)
 	// Early exits skip the post-partition communication and server compute;

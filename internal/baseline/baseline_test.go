@@ -40,7 +40,7 @@ func TestEnvValidation(t *testing.T) {
 	}
 	bad = testEnv()
 	bad.SessionSamples = 0
-	if _, err := EdgeOnly(m, bad); err == nil {
+	if _, err := Neurosurgeon(m, bad); err == nil {
 		t.Fatal("zero session must be rejected")
 	}
 }
@@ -62,23 +62,6 @@ func TestMobileOnlyShape(t *testing.T) {
 	}
 	if rep.AvgComm != rep.ModelLoad {
 		t.Fatalf("cold-session comm %v must equal load %v", rep.AvgComm, rep.ModelLoad)
-	}
-}
-
-func TestEdgeOnlyShape(t *testing.T) {
-	m := buildModel(t, "alexnet", 0.25)
-	rep, err := EdgeOnly(m, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ClientModelBytes != 0 || rep.ModelLoad != 0 {
-		t.Fatal("edge-only must not load a client model")
-	}
-	if rep.PerSampleComm <= 0 {
-		t.Fatal("edge-only must pay per-sample upload")
-	}
-	if rep.PartitionAfter != -1 {
-		t.Fatalf("edge-only partition = %d, want -1", rep.PartitionAfter)
 	}
 }
 

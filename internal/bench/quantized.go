@@ -119,7 +119,6 @@ func newQuantConv2D(name string, g *tensor.RNG, bits, inC, outC, kh, kw, stride,
 	}
 	c.Weight = nn.NewParam(name+".weight", g.KaimingConv(outC, inC, kh, kw))
 	c.Bias = nn.NewParam(name+".bias", tensor.New(outC))
-	c.Bias.NoDecay = true
 	return c
 }
 
@@ -250,7 +249,6 @@ func newQuantLinear(name string, g *tensor.RNG, bits, in, out int) *quantLinear 
 	l := &quantLinear{name: name, Bits: bits, In: in, Out: out}
 	l.Weight = nn.NewParam(name+".weight", g.KaimingLinear(out, in))
 	l.Bias = nn.NewParam(name+".bias", tensor.New(out))
-	l.Bias.NoDecay = true
 	return l
 }
 

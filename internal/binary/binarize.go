@@ -54,18 +54,6 @@ func EstimateWeights(dst, w *tensor.Tensor) []float32 {
 	return alphas
 }
 
-// STEMask writes the straight-through estimator gate 1_{|x| <= 1} (Eq. 5)
-// into dst for every element of src.
-func STEMask(dst, src *tensor.Tensor) {
-	for i, v := range src.Data {
-		if v >= -1 && v <= 1 {
-			dst.Data[i] = 1
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-}
-
 // WeightGradThrough converts the gradient with respect to the estimated
 // weights W~ into the gradient with respect to the full-precision weights
 // using Eq. (6): dW_i = dW~_i * (1/n + alpha_o * 1_{|W_i| <= 1}).

@@ -34,18 +34,6 @@ func TestEstimateWeights(t *testing.T) {
 	}
 }
 
-func TestSTEMask(t *testing.T) {
-	src := tensor.FromSlice([]float32{-1.5, -1, -0.5, 0, 0.5, 1, 1.5}, 7)
-	dst := tensor.New(7)
-	STEMask(dst, src)
-	want := []float32{0, 1, 1, 1, 1, 1, 0}
-	for i, v := range want {
-		if dst.Data[i] != v {
-			t.Fatalf("mask[%d] = %v, want %v", i, dst.Data[i], v)
-		}
-	}
-}
-
 func TestWeightGradThroughFormula(t *testing.T) {
 	// One filter of 2 elements: W = [0.5, 2], alpha = 1.25.
 	w := tensor.FromSlice([]float32{0.5, 2}, 1, 2)

@@ -41,7 +41,6 @@ func NewConv2D(name string, g *tensor.RNG, inC, outC, kh, kw, stride, pad int) *
 	}
 	c.Weight = nn.NewParam(name+".weight", g.KaimingConv(outC, inC, kh, kw))
 	c.Bias = nn.NewParam(name+".bias", tensor.New(outC))
-	c.Bias.NoDecay = true
 	return c
 }
 

@@ -29,7 +29,6 @@ func NewLinear(name string, g *tensor.RNG, in, out int) *Linear {
 	l := &Linear{name: name, In: in, Out: out}
 	l.Weight = nn.NewParam(name+".weight", g.KaimingLinear(out, in))
 	l.Bias = nn.NewParam(name+".bias", tensor.New(out))
-	l.Bias.NoDecay = true
 	return l
 }
 

@@ -9,8 +9,8 @@ import (
 // wordsFor returns the number of 64-bit words needed to hold n sign bits.
 func wordsFor(n int) int { return (n + 63) / 64 }
 
-// signBit is 1 when v >= 0 and 0 otherwise — sign(0) = +1, matching
-// tensor.Sign, and a NaN, which compares false, packs as -1 — computed from
+// signBit is 1 when v >= 0 and 0 otherwise — sign(0) = +1, the XNOR-Net
+// convention, and a NaN, which compares false, packs as -1 — computed from
 // v's bits without a branch: v >= 0 holds exactly for the patterns from +0
 // up to +Inf and for -0.
 func signBit(v float32) uint64 {
@@ -30,8 +30,7 @@ func packWord(src []float32) uint64 {
 }
 
 // PackSigns packs the sign bits of src into dst, one bit per element with
-// bit=1 meaning the value is non-negative (sign(0)=+1, matching
-// tensor.Sign). Bits beyond len(src) in the last word are left zero, so two
+// bit=1 meaning the value is non-negative (sign(0)=+1). Bits beyond len(src) in the last word are left zero, so two
 // vectors packed with the same length always agree on their padding bits
 // and XnorDot needs no tail masking.
 func PackSigns(dst []uint64, src []float32) {

@@ -485,9 +485,3 @@ func unpackGroup(data []float32, src []byte, scale float32, size, bits, levels i
 	}
 	return data
 }
-
-// MaxQuantError returns the documented worst-case reconstruction error of
-// the k-bit codec for a channel group whose max magnitude is maxAbs.
-func MaxQuantError(maxAbs float64, bits int) float64 {
-	return maxAbs / float64(int(2)<<(bits-1)-2)
-}

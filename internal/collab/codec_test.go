@@ -143,7 +143,7 @@ func TestQuantRoundTripBound(t *testing.T) {
 						maxAbs = a
 					}
 				}
-				bound := MaxQuantError(maxAbs, qc.bits) * (1 + 1e-6)
+				bound := maxQuantError(maxAbs, qc.bits) * (1 + 1e-6)
 				for i := g * size; i < (g+1)*size; i++ {
 					if diff := math.Abs(float64(tt.Data[i] - got.Data[i])); diff > bound {
 						t.Fatalf("%s group %d: error %g exceeds bound %g (maxAbs %g)",
@@ -228,4 +228,10 @@ func TestQ8CompositeTop1Stable(t *testing.T) {
 		t.Fatalf("q8 kept the main-branch top-1 on %d/%d samples, want >= 95", match, n)
 	}
 	t.Logf("q8 top-1 agreement: %d/%d", match, n)
+}
+
+// maxQuantError returns the documented worst-case reconstruction error of
+// the k-bit codec for a channel group whose max magnitude is maxAbs.
+func maxQuantError(maxAbs float64, bits int) float64 {
+	return maxAbs / float64(int(2)<<(bits-1)-2)
 }

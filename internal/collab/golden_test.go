@@ -47,7 +47,7 @@ func TestGoldenV1Frames(t *testing.T) {
 			t.Fatalf("frame %d: captured v1 frame decoded to different values", i)
 		}
 		// The default writer must reproduce the captured bytes exactly.
-		if err := WriteTensor(&reencoded, got); err != nil {
+		if err := WriteTensorCodec(&reencoded, got, Raw); err != nil {
 			t.Fatalf("frame %d: re-encode: %v", i, err)
 		}
 	}

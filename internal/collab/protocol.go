@@ -156,12 +156,6 @@ func foldUnit(v float64) (float64, bool) {
 	return v, true
 }
 
-// WriteTensor encodes t as a v1 raw frame on w — byte-identical to the
-// original protocol (the golden-frame test pins this).
-func WriteTensor(w io.Writer, t *tensor.Tensor) error {
-	return WriteTensorCodec(w, t, Raw)
-}
-
 // WriteTensorCodec encodes t on w with the given codec. The raw codec (or
 // nil) writes a v1 frame; every other codec writes a codec-tagged v2 frame.
 func WriteTensorCodec(w io.Writer, t *tensor.Tensor, c Codec) error {
@@ -233,12 +227,6 @@ func WriteTensorTelemetry(w io.Writer, t *tensor.Tensor, c Codec, tel *Telemetry
 		return fmt.Errorf("collab: write frame payload: %w", err)
 	}
 	return nil
-}
-
-// ReadTensor decodes one frame (v1, v2 or v3, any codec) from r.
-func ReadTensor(r io.Reader) (*tensor.Tensor, error) {
-	t, _, err := ReadFrame(r)
-	return t, err
 }
 
 // ReadFrame decodes one frame from r and reports the codec that carried
@@ -420,12 +408,6 @@ func readChunked(r io.Reader, n int) ([]byte, error) {
 		buf = append(buf, scratch[:step]...)
 	}
 	return buf, nil
-}
-
-// FrameBytes returns the encoded size of a v1 raw tensor frame without
-// encoding it, for cost accounting.
-func FrameBytes(t *tensor.Tensor) int64 {
-	return FrameBytesFor(t.Shape, Raw)
 }
 
 // FrameBytesFor returns the full encoded frame size (header + payload) of

@@ -20,11 +20,11 @@ func benchTensor() *tensor.Tensor {
 
 func BenchmarkWriteTensor(b *testing.B) {
 	t := benchTensor()
-	b.SetBytes(FrameBytes(t))
+	b.SetBytes(FrameBytesFor(t.Shape, Raw))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteTensor(io.Discard, t); err != nil {
+		if err := WriteTensorCodec(io.Discard, t, Raw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkWriteTensor(b *testing.B) {
 func BenchmarkReadTensor(b *testing.B) {
 	t := benchTensor()
 	var buf bytes.Buffer
-	if err := WriteTensor(&buf, t); err != nil {
+	if err := WriteTensorCodec(&buf, t, Raw); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -41,7 +41,7 @@ func BenchmarkReadTensor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadTensor(bytes.NewReader(frame)); err != nil {
+		if _, _, err := ReadFrame(bytes.NewReader(frame)); err != nil {
 			b.Fatal(err)
 		}
 	}

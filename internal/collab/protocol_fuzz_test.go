@@ -12,7 +12,7 @@ import (
 // mustFrame encodes t and returns the raw frame, for seeding the fuzzer.
 func mustFrame(tt *tensor.Tensor) []byte {
 	var buf bytes.Buffer
-	if err := WriteTensor(&buf, tt); err != nil {
+	if err := WriteTensorCodec(&buf, tt, Raw); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -27,11 +27,11 @@ func mustFrameCodec(tt *tensor.Tensor, c Codec) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadTensor feeds arbitrary byte streams to ReadTensor. The decoder
+// FuzzReadTensor feeds arbitrary byte streams to ReadFrame. The decoder
 // must never panic, and on valid v1 raw frames it must round-trip
-// WriteTensor exactly. Corrupt or truncated frames must fail with an error
-// without allocating anywhere near the bytes their headers claim (the
-// allocation bound is asserted separately in
+// WriteTensorCodec's raw encoding exactly. Corrupt or truncated frames
+// must fail with an error without allocating anywhere near the bytes their
+// headers claim (the allocation bound is asserted separately in
 // TestReadTensorTruncatedAllocation, since per-input accounting inside the
 // fuzz loop would be noisy).
 func FuzzReadTensor(f *testing.F) {
@@ -66,7 +66,7 @@ func FuzzReadTensor(f *testing.F) {
 		}
 		// Accepted raw frames must re-encode to a prefix-identical frame.
 		var out bytes.Buffer
-		if err := WriteTensor(&out, got); err != nil {
+		if err := WriteTensorCodec(&out, got, Raw); err != nil {
 			t.Fatalf("round-trip encode of accepted frame failed: %v", err)
 		}
 		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {

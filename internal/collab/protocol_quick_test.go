@@ -16,13 +16,13 @@ func TestTensorFrameRoundTripQuick(t *testing.T) {
 		g := tensor.NewRNG(seed)
 		want := g.Uniform(-100, 100, shape...)
 		var buf bytes.Buffer
-		if err := WriteTensor(&buf, want); err != nil {
+		if err := WriteTensorCodec(&buf, want, Raw); err != nil {
 			return false
 		}
-		if int64(buf.Len()) != FrameBytes(want) {
+		if int64(buf.Len()) != FrameBytesFor(want.Shape, Raw) {
 			return false
 		}
-		got, err := ReadTensor(&buf)
+		got, _, err := ReadFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -42,7 +42,7 @@ func TestReadTensorNeverPanicsOnGarbageQuick(t *testing.T) {
 				ok = false
 			}
 		}()
-		t, err := ReadTensor(bytes.NewReader(raw))
+		t, _, err := ReadFrame(bytes.NewReader(raw))
 		if err == nil && t.Len() > maxElems {
 			return false
 		}

@@ -93,17 +93,3 @@ func (d *Dataset) Batches(g *tensor.RNG, batchSize int) []Batch {
 	}
 	return out
 }
-
-// Subset returns the first n samples as a dataset view (sharing storage).
-func (d *Dataset) Subset(n int) *Dataset {
-	if n <= 0 || n > d.Len() {
-		panic(fmt.Sprintf("dataset: Subset size %d out of range (have %d)", n, d.Len()))
-	}
-	shape := d.SampleShape()
-	per := shape[0] * shape[1] * shape[2]
-	return &Dataset{
-		Name: d.Name, Classes: d.Classes,
-		X:      tensor.FromSlice(d.X.Data[:n*per], append([]int{n}, shape...)...),
-		Labels: d.Labels[:n],
-	}
-}

@@ -182,17 +182,6 @@ func TestBatchesCoverAllSamplesOnce(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	d, _ := GenerateByName("mnist", 30, 1)
-	s := d.Subset(10)
-	if s.Len() != 10 {
-		t.Fatalf("Subset len %d", s.Len())
-	}
-	if !tensor.Equal(s.X.Batch(0), d.X.Batch(0), 0) {
-		t.Fatal("Subset must preserve leading samples")
-	}
-}
-
 func TestAugmentationsPreserveShape(t *testing.T) {
 	g := tensor.NewRNG(1)
 	img := g.Uniform(-1, 1, 3, 16, 16)
@@ -246,7 +235,7 @@ func TestGenerateLogos(t *testing.T) {
 		t.Fatal("augmentation produced identical samples")
 	}
 	// Images must be non-trivial (emblem pixels present).
-	if d.X.L2Norm() == 0 {
+	if mn, mx := d.X.MinMax(); mn == 0 && mx == 0 {
 		t.Fatal("logo images are empty")
 	}
 }

@@ -45,7 +45,7 @@ func TestBatchedBitwiseIdenticalToUnbatched(t *testing.T) {
 	for i := range frames {
 		shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		frames[i] = buf.Bytes()
@@ -150,7 +150,7 @@ func TestBatcherDeadlineFiresForSingleRequest(t *testing.T) {
 	g := tensor.NewRNG(8)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -182,7 +182,7 @@ func TestBatcherOversizedRequestBypasses(t *testing.T) {
 	g := tensor.NewRNG(9)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 4, 1, 28, 28), false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -224,7 +224,7 @@ func TestBatcherNeverExceedsCap(t *testing.T) {
 	for i := range frames {
 		shared[i] = m.ForwardShared(g.Uniform(-1, 1, 3, 1, 28, 28), false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared[i]); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared[i], collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		frames[i] = buf.Bytes()
@@ -288,7 +288,7 @@ func TestBatcherCloseDrainsParkedRequests(t *testing.T) {
 	g := tensor.NewRNG(10)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	want := m.ForwardMainRest(shared, false).Argmax()

@@ -25,7 +25,7 @@ func inferFrame(t testing.TB, m *models.Composite, seed int64) []byte {
 	g := tensor.NewRNG(seed)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -135,7 +135,7 @@ func TestTelemetryBackwardCompat(t *testing.T) {
 	g := tensor.NewRNG(32)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	var v1 bytes.Buffer
-	if err := collab.WriteTensor(&v1, shared); err != nil {
+	if err := collab.WriteTensorCodec(&v1, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	var v2 bytes.Buffer

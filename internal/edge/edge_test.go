@@ -107,7 +107,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	x := g.Uniform(-1, 1, 1, 1, 28, 28)
 	shared := m.ForwardShared(x, false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Post(srv.URL+"/v1/infer/lenet-mnist", "application/octet-stream", &buf)
@@ -132,7 +132,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	// wrong-shape tensor must 400
 	var bad bytes.Buffer
-	if err := collab.WriteTensor(&bad, g.Uniform(0, 1, 3, 3)); err != nil {
+	if err := collab.WriteTensorCodec(&bad, g.Uniform(0, 1, 3, 3), collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	resp, _ = http.Post(srv.URL+"/v1/infer/lenet-mnist", "application/octet-stream", &bad)
@@ -180,7 +180,7 @@ func TestConcurrentInference(t *testing.T) {
 		x := g.Uniform(-1, 1, 1, 1, 28, 28)
 		shared := m.ForwardShared(x, false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		jobs[i] = job{frame: buf.Bytes(), want: m.ForwardMainRest(shared, false).Argmax()}

@@ -43,7 +43,7 @@ func TestInferFusedBitwiseMatchesLegacyUnderLoad(t *testing.T) {
 		x := g.Uniform(-1, 1, 1, 1, 28, 28)
 		shared := m.ForwardShared(x, false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		logits := ref.ForwardMainRest(shared, false)

@@ -91,14 +91,14 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	for i := 0; i < nFrames; i++ {
 		shared := m1.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		frames[i] = buf.Bytes()
 		// Decode a fresh intermediate per model so neither forward pass can
 		// see the other's buffers.
 		for v, m := range map[string]*models.Composite{v1: m1, v2: m2} {
-			in, err := collab.ReadTensor(bytes.NewReader(frames[i]))
+			in, _, err := collab.ReadFrame(bytes.NewReader(frames[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +189,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if ir.Version != v2 {
 		t.Fatalf("after final Activate: serving %s, want %s", ir.Version, v2)
 	}
-	if s.ActiveVersion("demo") != v2 {
-		t.Fatalf("ActiveVersion = %s, want %s", s.ActiveVersion("demo"), v2)
+	if got := s.Models()[0].Version; got != v2 {
+		t.Fatalf("listed active version %s, want %s", got, v2)
 	}
 	t.Logf("served: v1=%d v2=%d", served[0].Load(), served[1].Load())
 }
@@ -238,8 +238,8 @@ func TestHotSwapStagingAndActivation(t *testing.T) {
 	if err := s.Activate("demo", v); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ActiveVersion("demo"); got != v {
-		t.Fatalf("ActiveVersion = %q, want %q", got, v)
+	if got := s.Models()[0].Version; got != v {
+		t.Fatalf("listed active version %q, want %q", got, v)
 	}
 	ir := postInfer(t, srv.URL+"/v1/infer/demo", inferFrame(t, m, 5))
 	if ir.Version != v {
@@ -281,7 +281,7 @@ func TestHotSwapPurgesAnswerCache(t *testing.T) {
 	if st.CacheMisses != 2 {
 		t.Fatalf("post-swap request must miss the fresh cache: %+v", st)
 	}
-	shared, err := collab.ReadTensor(bytes.NewReader(frame))
+	shared, _, err := collab.ReadFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestInferBodyCap(t *testing.T) {
 	// One sample more is over it.
 	shape[0]++
 	var over bytes.Buffer
-	if err := collab.WriteTensor(&over, tensor.New(shape...)); err != nil {
+	if err := collab.WriteTensorCodec(&over, tensor.New(shape...), collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	reqs, errs, checkouts := e.stats.InferRequests.Value(), e.stats.InferErrors.Value(), e.checkouts.Load()
@@ -119,7 +119,7 @@ func TestForwardPanicReturnsReplica(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	var frame bytes.Buffer
-	if err := collab.WriteTensor(&frame, shared); err != nil {
+	if err := collab.WriteTensorCodec(&frame, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	got := postInfer(t, srv.URL+"/v1/infer/demo", frame.Bytes()).Pred

@@ -132,7 +132,7 @@ func TestMetricsExposition(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		payload += int64(buf.Len())
@@ -148,7 +148,7 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	var bad bytes.Buffer
-	if err := collab.WriteTensor(&bad, g.Uniform(0, 1, 2, 2)); err != nil {
+	if err := collab.WriteTensorCodec(&bad, g.Uniform(0, 1, 2, 2), collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -258,7 +258,7 @@ func TestMetricsBatchedPath(t *testing.T) {
 	g := tensor.NewRNG(22)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

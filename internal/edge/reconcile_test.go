@@ -83,13 +83,13 @@ func TestInferSurfacesReconcile(t *testing.T) {
 			buf.WriteString("not a tensor frame")
 			r.want, r.counted = http.StatusBadRequest, false
 		case 1:
-			err = collab.WriteTensor(&buf, g.Uniform(0, 1, 2, 3))
+			err = collab.WriteTensorCodec(&buf, g.Uniform(0, 1, 2, 3), collab.Raw)
 			r.want = http.StatusBadRequest
 		case 2:
 			err = collab.WriteTensorCodec(&buf, pool[0], q4)
 			r.want, r.counted = http.StatusUnsupportedMediaType, false
 		case 3:
-			err = collab.WriteTensor(&buf, pool[0])
+			err = collab.WriteTensorCodec(&buf, pool[0], collab.Raw)
 			r.path, r.want, r.counted = "/v1/infer/nope", http.StatusNotFound, false
 		default:
 			x := pool[rng.Intn(len(pool))]

@@ -352,23 +352,3 @@ func (s *Server) lookup(name string) (*entry, bool) {
 	e := rec.active.Load()
 	return e, e != nil
 }
-
-// ActiveVersion reports the currently served version of name ("" when the
-// model is unknown or has no activated version yet).
-func (s *Server) ActiveVersion(name string) string {
-	if e, ok := s.lookup(name); ok {
-		return e.version
-	}
-	return ""
-}
-
-// Versions lists every staged version of name in registration order.
-func (s *Server) Versions(name string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec := s.entries[name]
-	if rec == nil {
-		return nil
-	}
-	return append([]string(nil), rec.order...)
-}

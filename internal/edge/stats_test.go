@@ -34,7 +34,7 @@ func TestStatsCounters(t *testing.T) {
 		x := g.Uniform(-1, 1, 1, 1, 28, 28)
 		shared := m.ForwardShared(x, false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := http.Post(srv.URL+"/v1/infer/demo", "application/octet-stream", &buf)
@@ -44,7 +44,7 @@ func TestStatsCounters(t *testing.T) {
 		resp.Body.Close()
 	}
 	var bad bytes.Buffer
-	if err := collab.WriteTensor(&bad, g.Uniform(0, 1, 2, 2)); err != nil {
+	if err := collab.WriteTensorCodec(&bad, g.Uniform(0, 1, 2, 2), collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Post(srv.URL+"/v1/infer/demo", "application/octet-stream", &bad)

@@ -44,7 +44,7 @@ func TestStressConcurrentInference(t *testing.T) {
 		x := g.Uniform(-1, 1, 1, 1, 28, 28)
 		shared := m.ForwardShared(x, false)
 		var buf bytes.Buffer
-		if err := collab.WriteTensor(&buf, shared); err != nil {
+		if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 			t.Fatal(err)
 		}
 		frames[i] = buf.Bytes()

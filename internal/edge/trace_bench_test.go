@@ -41,7 +41,7 @@ func BenchmarkTracedInfer(b *testing.B) {
 	g := tensor.NewRNG(41)
 	shared := m.ForwardShared(g.Uniform(-1, 1, 1, 1, 28, 28), false)
 	var buf bytes.Buffer
-	if err := collab.WriteTensor(&buf, shared); err != nil {
+	if err := collab.WriteTensorCodec(&buf, shared, collab.Raw); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()

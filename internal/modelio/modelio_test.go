@@ -36,8 +36,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		g := tensor.NewRNG(3)
 		x := g.Uniform(-1, 1, 2, 3, 32, 32)
-		wantMain := src.ForwardMain(x, false)
-		gotMain := dst.ForwardMain(x, false)
+		wantMain := src.ForwardMainRest(src.ForwardShared(x, false), false)
+		gotMain := dst.ForwardMainRest(dst.ForwardShared(x, false), false)
 		if !tensor.Equal(wantMain, gotMain, 1e-6) {
 			t.Fatalf("%s: main branch differs after checkpoint round trip", arch)
 		}

@@ -242,13 +242,16 @@ func PackSections(data []byte) ([]PackSection, error) {
 	return out, err
 }
 
-// OpenPack verifies and decodes a pack: digest checked, manifest parsed,
-// architecture rebuilt, weights loaded, bundle retained. Unknown sections
-// are skipped, so packs written by newer builds still open.
-func OpenPack(data []byte) (*ModelPack, error) {
+// readPack checks the envelope and digest, walks the sections and parses
+// the manifest: the one reader ReadPackManifest and OpenPack share. It
+// returns the pack with every field but Model set, and the checkpoint
+// section undecoded. Unknown sections are skipped, so packs written by
+// newer builds still open; a pack without its manifest, checkpoint or
+// bundle is refused.
+func readPack(data []byte) (*ModelPack, []byte, error) {
 	body, count, digest, err := parsePack(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var manifest, ckpt, bundle []byte
 	err = walkPackSections(body, count, func(name string, payload []byte) error {
@@ -263,29 +266,53 @@ func OpenPack(data []byte) (*ModelPack, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if manifest == nil {
-		return nil, errors.New("modelio: pack has no manifest section")
+		return nil, nil, errors.New("modelio: pack has no manifest section")
 	}
 	if ckpt == nil {
-		return nil, errors.New("modelio: pack has no checkpoint section")
+		return nil, nil, errors.New("modelio: pack has no checkpoint section")
 	}
 	if bundle == nil {
-		return nil, errors.New("modelio: pack has no bundle section")
+		return nil, nil, errors.New("modelio: pack has no bundle section")
 	}
-	var man PackManifest
-	if err := json.Unmarshal(manifest, &man); err != nil {
-		return nil, fmt.Errorf("modelio: pack manifest: %w", err)
+	p := &ModelPack{Bundle: bundle, digest: digest, raw: data}
+	if err := json.Unmarshal(manifest, &p.Manifest); err != nil {
+		return nil, nil, fmt.Errorf("modelio: pack manifest: %w", err)
 	}
-	m, err := models.Build(man.Arch, man.Config)
+	return p, ckpt, nil
+}
+
+// ReadPackManifest verifies a pack (digest checked, every section walked)
+// and returns its manifest and version without rebuilding the model or
+// decoding a weight — what a web client needs from a pack: the
+// architecture, configuration and tau to fetch the edge's bundle with.
+func ReadPackManifest(data []byte) (man PackManifest, version string, err error) {
+	p, _, err := readPack(data)
 	if err != nil {
-		return nil, fmt.Errorf("modelio: pack rebuild %s: %w", man.Arch, err)
+		return PackManifest{}, "", err
+	}
+	return p.Manifest, p.Version(), nil
+}
+
+// OpenPack verifies and decodes a pack: what ReadPackManifest reads, plus
+// the architecture rebuilt from the manifest, its weights loaded from the
+// checkpoint section and the bundle retained.
+func OpenPack(data []byte) (*ModelPack, error) {
+	p, ckpt, err := readPack(data)
+	if err != nil {
+		return nil, err
+	}
+	m, err := models.Build(p.Manifest.Arch, p.Manifest.Config)
+	if err != nil {
+		return nil, fmt.Errorf("modelio: pack rebuild %s: %w", p.Manifest.Arch, err)
 	}
 	if err := LoadComposite(bytes.NewReader(ckpt), m); err != nil {
 		return nil, fmt.Errorf("modelio: pack checkpoint: %w", err)
 	}
-	return &ModelPack{Manifest: man, Model: m, Bundle: bundle, digest: digest, raw: data}, nil
+	p.Model = m
+	return p, nil
 }
 
 // CompositeDigest is the content digest of a model's full serialized

@@ -161,6 +161,45 @@ func TestPackDigestMismatch(t *testing.T) {
 	}
 }
 
+// ReadPackManifest returns what OpenPack opens — the same manifest and
+// version — without rebuilding the model, and refuses exactly the packs
+// OpenPack refuses, with the same errors.
+func TestReadPackManifestMatchesOpenPack(t *testing.T) {
+	data, err := EncodePack(testManifest(), packModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPack(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, version, err := ReadPackManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man != p.Manifest || version != p.Version() {
+		t.Fatalf("ReadPackManifest: %+v %s, OpenPack: %+v %s", man, version, p.Manifest, p.Version())
+	}
+	tampered := append([]byte{}, data...)
+	tampered[len(data)/2] ^= 0x40
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated envelope", data[:20], ErrPackTruncated},
+		{"re-signed truncation", sign(data[:60]), ErrPackTruncated},
+		{"tampered", tampered, ErrPackDigest},
+	} {
+		if _, _, err := ReadPackManifest(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadPackManifest got %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := OpenPack(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: OpenPack got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestPackUnknownSectionSkipped pins forward compatibility: a pack that
 // carries a section this build does not know (written by a future writer)
 // must still open, with the unknown payload ignored.

@@ -136,7 +136,7 @@ func TestGradientsAllocatedByTrainingOnly(t *testing.T) {
 
 	labels := []int{0, 1, 2, 3}
 	step := func(params []*nn.Param, forward func(*tensor.Tensor, bool) *tensor.Tensor, backward func(*tensor.Tensor) *tensor.Tensor) {
-		opt := nn.NewSGD(params, 0.01, 0.9, 0)
+		opt := nn.NewAdam(params, 0.01)
 		opt.ZeroGrad()
 		shared := m.ForwardShared(x, true)
 		_, dlogits := nn.SoftmaxCrossEntropy(forward(shared, true), labels)

@@ -140,11 +140,6 @@ func (m *Composite) ForwardShared(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.Shared.Forward(x, train)
 }
 
-// ForwardMain runs the full main branch (shared prefix + rest).
-func (m *Composite) ForwardMain(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return m.MainRest.Forward(m.Shared.Forward(x, train), train)
-}
-
 // ForwardMainRest runs only the post-prefix main branch, as the edge server
 // does on a received intermediate tensor (Algorithm 2 line 8).
 func (m *Composite) ForwardMainRest(t *tensor.Tensor, train bool) *tensor.Tensor {

@@ -38,21 +38,6 @@ func TestBuildUnknownArchitecture(t *testing.T) {
 	}
 }
 
-func TestForwardMainEqualsSharedPlusRest(t *testing.T) {
-	cfg := smallCfgs["cifar-like"]
-	m, err := Build("lenet", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := tensor.NewRNG(3)
-	x := g.Uniform(-1, 1, 2, cfg.InC, cfg.InH, cfg.InW)
-	full := m.ForwardMain(x, false)
-	split := m.ForwardMainRest(m.ForwardShared(x, false), false)
-	if !tensor.Equal(full, split, 1e-6) {
-		t.Fatal("ForwardMain must equal shared+rest composition")
-	}
-}
-
 // Table I shape check: at full width, the binary branch must be 16x-35x
 // smaller than the main branch for every architecture — the paper's
 // headline compression claim.

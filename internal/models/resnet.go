@@ -28,12 +28,10 @@ func basicBlock(name string, g *tensor.RNG, inC, outC, stride int) *nn.Residual 
 	return nn.NewResidual(name, body, shortcut)
 }
 
-// ResNet18 builds the CIFAR-style ResNet18 composite (about 44 MB full
-// precision at WidthScale=1, matching Table I's 43.7 MB).
-func ResNet18(cfg Config) *Composite { return resNet18(cfg, tensor.NewRNG(cfg.Seed)) }
-
-// resNet18 is the one definition of the architecture; see Build and BuildClient
-// for the two ways it is instantiated.
+// resNet18 builds the CIFAR-style ResNet18 composite (about 44 MB full
+// precision at WidthScale=1, matching Table I's 43.7 MB). It is the one
+// definition of the architecture; see Build and BuildClient for the two
+// ways it is instantiated.
 func resNet18(cfg Config, g *tensor.RNG) *Composite {
 	w := []int{cfg.scaled(64), cfg.scaled(128), cfg.scaled(256), cfg.scaled(512)}
 

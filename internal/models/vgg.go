@@ -7,15 +7,12 @@ import (
 	"lcrs/internal/tensor"
 )
 
-// VGG16 builds the CIFAR-style VGG16 composite (about 59 MB full precision
+// vgg16 builds the CIFAR-style VGG16 composite (about 59 MB full precision
 // at WidthScale=1, matching Table I). The classifier is the compact
 // 512-wide head used for small images rather than ImageNet's 4096-wide one.
 // For 28x28 inputs the final pooling stage is skipped so the spatial extent
-// never collapses below 1.
-func VGG16(cfg Config) *Composite { return vgg16(cfg, tensor.NewRNG(cfg.Seed)) }
-
-// vgg16 is the one definition of the architecture; see Build and BuildClient
-// for the two ways it is instantiated.
+// never collapses below 1. It is the one definition of the architecture;
+// see Build and BuildClient for the two ways it is instantiated.
 func vgg16(cfg Config, g *tensor.RNG) *Composite {
 	c64 := cfg.scaled(64)
 	c128 := cfg.scaled(128)

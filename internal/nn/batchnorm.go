@@ -49,9 +49,7 @@ func (bn *BatchNorm) CloneForInference() Layer {
 func NewBatchNorm(name string, c int) *BatchNorm {
 	bn := &BatchNorm{name: name, C: c, Eps: 1e-5, Momentum: 0.1}
 	bn.Gamma = NewParam(name+".gamma", tensor.Ones(c))
-	bn.Gamma.NoDecay = true
 	bn.Beta = NewParam(name+".beta", tensor.New(c))
-	bn.Beta.NoDecay = true
 	bn.RunningMean = tensor.New(c)
 	bn.RunningVar = tensor.Ones(c)
 	return bn

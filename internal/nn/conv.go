@@ -75,7 +75,6 @@ func NewConv2D(name string, g *tensor.RNG, inC, outC, kh, kw, stride, pad int) *
 	}
 	c.Weight = NewParam(name+".weight", w)
 	c.Bias = NewParam(name+".bias", tensor.New(outC))
-	c.Bias.NoDecay = true
 	return c
 }
 

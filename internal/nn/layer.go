@@ -20,13 +20,11 @@ type Param struct {
 	// Value is the current parameter tensor.
 	Value *tensor.Tensor
 	// Grad accumulates the gradient of the loss with respect to Value. It
-	// is nil until training first touches it (Backward, Optimizer.ZeroGrad
+	// is nil until training first touches it (Backward, Adam.ZeroGrad
 	// and Step go through EnsureGrad), so a model that only ever runs eval
 	// forwards carries no gradient memory; once allocated it has the shape
-	// of Value and is zeroed by Optimizer.ZeroGrad.
+	// of Value and is zeroed by Adam.ZeroGrad.
 	Grad *tensor.Tensor
-	// NoDecay marks parameters excluded from weight decay (biases, norms).
-	NoDecay bool
 }
 
 // NewParam wraps value as a parameter. The gradient is allocated on first

@@ -53,7 +53,6 @@ func NewLinear(name string, g *tensor.RNG, in, out int) *Linear {
 	}
 	l.Weight = NewParam(name+".weight", w)
 	l.Bias = NewParam(name+".bias", tensor.New(out))
-	l.Bias.NoDecay = true
 	return l
 }
 

@@ -7,25 +7,6 @@ import (
 	"lcrs/internal/tensor"
 )
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	// Minimize ||w - target||^2 by hand-fed gradients.
-	w := NewParam("w", tensor.FromSlice([]float32{5, -3}, 2))
-	target := []float32{1, 2}
-	opt := NewSGD([]*Param{w}, 0.1, 0.9, 0)
-	for i := 0; i < 200; i++ {
-		opt.ZeroGrad()
-		for j := range w.Value.Data {
-			w.Grad.Data[j] = 2 * (w.Value.Data[j] - target[j])
-		}
-		opt.Step()
-	}
-	for j, want := range target {
-		if math.Abs(float64(w.Value.Data[j]-want)) > 1e-3 {
-			t.Fatalf("w[%d] = %v, want %v", j, w.Value.Data[j], want)
-		}
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	w := NewParam("w", tensor.FromSlice([]float32{5, -3}, 2))
 	target := []float32{1, 2}
@@ -41,21 +22,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		if math.Abs(float64(w.Value.Data[j]-want)) > 1e-2 {
 			t.Fatalf("w[%d] = %v, want %v", j, w.Value.Data[j], want)
 		}
-	}
-}
-
-func TestSGDWeightDecayShrinksWeights(t *testing.T) {
-	w := NewParam("w", tensor.FromSlice([]float32{4}, 1))
-	b := NewParam("b", tensor.FromSlice([]float32{4}, 1))
-	b.NoDecay = true
-	opt := NewSGD([]*Param{w, b}, 0.1, 0, 0.5)
-	opt.ZeroGrad() // zero gradient: only decay acts
-	opt.Step()
-	if w.Value.Data[0] >= 4 {
-		t.Fatalf("weight decay did not shrink weight: %v", w.Value.Data[0])
-	}
-	if b.Value.Data[0] != 4 {
-		t.Fatalf("NoDecay parameter was decayed: %v", b.Value.Data[0])
 	}
 }
 
@@ -181,7 +147,7 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	// produce roughly normalized output.
 	x := g.Normal(5, 3, 256, 2)
 	out := bn.Forward(x, false)
-	if m := out.Mean(); math.Abs(m) > 0.2 {
+	if m := out.Sum() / float64(out.Len()); math.Abs(m) > 0.2 {
 		t.Fatalf("inference mean = %v, want about 0", m)
 	}
 }
@@ -207,27 +173,6 @@ func TestSequentialOutShapeAndFLOPs(t *testing.T) {
 	y := net.Forward(x, false)
 	if y.Dim(0) != 2 || y.Dim(1) != 10 {
 		t.Fatalf("Forward shape = %v", y.Shape)
-	}
-}
-
-func TestForwardToFromSplitMatchesFullForward(t *testing.T) {
-	g := tensor.NewRNG(5)
-	net := NewSequential("net",
-		NewConv2D("c1", g, 1, 4, 3, 3, 1, 1),
-		NewReLU("r1"),
-		NewConv2D("c2", g, 4, 8, 3, 3, 1, 1),
-		NewReLU("r2"),
-		NewFlatten("flat"),
-		NewLinear("fc", g, 8*8*8, 10),
-	)
-	x := g.Uniform(-1, 1, 2, 1, 8, 8)
-	full := net.Forward(x, false)
-	for split := 0; split <= len(net.Layers); split++ {
-		mid := net.ForwardTo(split, x, false)
-		out := net.ForwardFrom(split, mid, false)
-		if !tensor.Equal(full, out, 1e-5) {
-			t.Fatalf("split at %d disagrees with full forward", split)
-		}
 	}
 }
 

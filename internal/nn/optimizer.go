@@ -6,72 +6,6 @@ import (
 	"lcrs/internal/tensor"
 )
 
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients.
-type Optimizer interface {
-	// Step applies one update using the current gradients.
-	Step()
-	// ZeroGrad clears all gradient accumulators; call before each batch.
-	ZeroGrad()
-	// SetLR changes the learning rate (used by schedules, Algorithm 1's
-	// Update(eta, l)).
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
-
-// SGD is stochastic gradient descent with optional momentum and decoupled
-// weight decay.
-type SGD struct {
-	params      []*Param
-	lr          float64
-	momentum    float64
-	weightDecay float64
-	velocity    []*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer over params.
-func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum, weightDecay: weightDecay}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Value.Shape...)
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	lr := float32(s.lr)
-	for i, p := range s.params {
-		g := p.EnsureGrad()
-		if s.weightDecay != 0 && !p.NoDecay {
-			p.Value.Scale(1 - float32(s.lr*s.weightDecay))
-		}
-		if s.momentum != 0 {
-			v := s.velocity[i]
-			mu := float32(s.momentum)
-			for j := range v.Data {
-				v.Data[j] = float32(mu*v.Data[j]) + g.Data[j]
-				p.Value.Data[j] -= float32(lr * v.Data[j])
-			}
-		} else {
-			p.Value.AddScaled(-lr, g)
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() { zeroGrads(s.params) }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
-
 // Adam is the Adam optimizer (Kingma & Ba), the gradient-descent variant the
 // paper names for training the main branch.
 type Adam struct {
@@ -98,7 +32,7 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update using the current gradients.
 func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
@@ -118,20 +52,16 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad implements Optimizer.
-func (a *Adam) ZeroGrad() { zeroGrads(a.params) }
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
-
-func zeroGrads(params []*Param) {
-	for _, p := range params {
+// ZeroGrad clears all gradient accumulators; call before each batch.
+func (a *Adam) ZeroGrad() {
+	for _, p := range a.params {
 		p.EnsureGrad().Zero()
 	}
 }
+
+// SetLR changes the learning rate (used by schedules, Algorithm 1's
+// Update(eta, l)).
+func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // StepDecay is a learning-rate schedule that multiplies the rate by Factor
 // every Every epochs — the Update(eta, l) step of Algorithm 1.

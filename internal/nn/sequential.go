@@ -67,31 +67,6 @@ func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dout
 }
 
-// ForwardFrom runs layers [from, len) on x, used by the edge server to
-// execute "the rest of the main branch" after the shared prefix
-// (Algorithm 2 line 8).
-func (s *Sequential) ForwardFrom(from int, x *tensor.Tensor, train bool) *tensor.Tensor {
-	if from < 0 || from > len(s.Layers) {
-		panic(fmt.Sprintf("nn: %s ForwardFrom index %d out of range [0,%d]", s.name, from, len(s.Layers)))
-	}
-	for _, l := range s.Layers[from:] {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// ForwardTo runs layers [0, to) on x, producing the intermediate activation
-// handed to the binary branch or shipped to the edge server.
-func (s *Sequential) ForwardTo(to int, x *tensor.Tensor, train bool) *tensor.Tensor {
-	if to < 0 || to > len(s.Layers) {
-		panic(fmt.Sprintf("nn: %s ForwardTo index %d out of range [0,%d]", s.name, to, len(s.Layers)))
-	}
-	for _, l := range s.Layers[:to] {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
 // Residual implements a residual block: out = ReLU(Body(x) + Shortcut(x)).
 // Shortcut may be nil for an identity skip connection.
 type Residual struct {

@@ -86,21 +86,6 @@ func packPanel(panel, b []float32, n, kc, kcLen, jc, nc int) {
 	}
 }
 
-// MatMulBlockedInto computes dst = a x b with the cache-blocked kernel
-// unconditionally (MatMulInto dispatches here above blockedMinWork; this
-// entry point exists for benchmarks and the cross-impl equivalence tests).
-// dst must not alias a or b.
-func MatMulBlockedInto(dst, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic("tensor: MatMulBlockedInto shape mismatch")
-	}
-	bufp := gemmPanelPool.Get().(*[]float32)
-	matMulBlocked(dst.Data, a.Data, b.Data, m, k, n, *bufp)
-	gemmPanelPool.Put(bufp)
-}
-
 // matMulBlocked is the blocked driver: loop over NC column blocks, then KC
 // depth blocks; pack the B panel once per (jc, kc); parallelize the C
 // update over gemmMR-row strips. The strip body is one closure reused

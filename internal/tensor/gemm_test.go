@@ -72,7 +72,7 @@ func TestMatMulBlockedMatchesReference(t *testing.T) {
 		b := g.Uniform(-1, 1, s.k, s.n)
 		got := New(s.m, s.n)
 		want := New(s.m, s.n)
-		MatMulBlockedInto(got, a, b)
+		matMulBlockedInto(got, a, b)
 		matMulBlockedRef(want, a, b)
 		for i := range got.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -92,9 +92,9 @@ func TestMatMulBlockedSerialParallelBitwise(t *testing.T) {
 		parallel := New(s.m, s.n)
 
 		prev := SetMaxWorkers(1)
-		MatMulBlockedInto(serial, a, b)
+		matMulBlockedInto(serial, a, b)
 		SetMaxWorkers(8)
-		MatMulBlockedInto(parallel, a, b)
+		matMulBlockedInto(parallel, a, b)
 		SetMaxWorkers(prev)
 
 		for i := range serial.Data {
@@ -270,4 +270,19 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 			}
 		})
 	}
+}
+
+// matMulBlockedInto computes dst = a x b with the cache-blocked kernel
+// unconditionally (MatMulInto dispatches to it above blockedMinWork), for
+// the benchmarks and the cross-implementation equivalence tests. dst must
+// not alias a or b.
+func matMulBlockedInto(dst, a, b *Tensor) {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic("tensor: matMulBlockedInto shape mismatch")
+	}
+	bufp := gemmPanelPool.Get().(*[]float32)
+	matMulBlocked(dst.Data, a.Data, b.Data, m, k, n, *bufp)
+	gemmPanelPool.Put(bufp)
 }

@@ -14,40 +14,10 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// SubInto computes dst = a - b element-wise.
-func SubInto(dst, a, b *Tensor) {
-	checkSameLen("SubInto", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// MulInto computes dst = a * b element-wise (Hadamard product).
-func MulInto(dst, a, b *Tensor) {
-	checkSameLen("MulInto", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
 // Add returns a new tensor a + b.
 func Add(a, b *Tensor) *Tensor {
 	out := New(a.Shape...)
 	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a new tensor a - b.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	SubInto(out, a, b)
-	return out
-}
-
-// Mul returns a new tensor a * b (element-wise).
-func Mul(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	MulInto(out, a, b)
 	return out
 }
 
@@ -64,19 +34,6 @@ func (t *Tensor) AddScaled(s float32, o *Tensor) {
 	checkSameLen("AddScaled", t, o)
 	for i := range t.Data {
 		t.Data[i] += float32(s * o.Data[i])
-	}
-}
-
-// Sign writes sign(src) into dst using the convention sign(0) = +1, the
-// binarization used by XNOR-Net style networks.
-func Sign(dst, src *Tensor) {
-	checkSameLen("Sign", dst, src)
-	for i, v := range src.Data {
-		if v < 0 {
-			dst.Data[i] = -1
-		} else {
-			dst.Data[i] = 1
-		}
 	}
 }
 
@@ -215,22 +172,6 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 		}
 	}
 	return c
-}
-
-// Transpose returns a new tensor that is the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic("tensor: Transpose requires rank-2 tensor")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	t := New(n, m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			t.Data[j*m+i] = v
-		}
-	}
-	return t
 }
 
 // Softmax writes row-wise softmax of logits (batch x classes) into a new

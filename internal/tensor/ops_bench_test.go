@@ -36,7 +36,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 	}{
 		{"dispatch", MatMulInto},
 		{"unrolled", MatMulUnrolledInto},
-		{"blocked", MatMulBlockedInto},
+		{"blocked", matMulBlockedInto},
 	}
 	for _, s := range gemmBenchShapes {
 		for _, impl := range impls {

@@ -6,7 +6,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -32,15 +31,6 @@ func Ones(shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
 		t.Data[i] = 1
-	}
-	return t
-}
-
-// Full creates a tensor of the given shape filled with v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 	return t
 }
@@ -152,26 +142,11 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-}
-
-// CopyFrom copies o's data into t. The shapes must have equal element counts.
-func (t *Tensor) CopyFrom(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(o.Data)))
-	}
-	copy(t.Data, o.Data)
 }
 
 // String renders small tensors in full and large tensors as a summary.
@@ -209,27 +184,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
-
-// L1Norm returns the sum of absolute values of all elements.
-func (t *Tensor) L1Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += math.Abs(float64(v))
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(float64(v) * float64(v))
-	}
-	return math.Sqrt(s)
 }
 
 // Argmax returns the index of the largest element in the flattened tensor,

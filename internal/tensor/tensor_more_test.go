@@ -5,40 +5,19 @@ import (
 	"testing"
 )
 
-func TestOnesAndFull(t *testing.T) {
-	o := Ones(2, 3)
-	for _, v := range o.Data {
+func TestOnesAndZero(t *testing.T) {
+	x := Ones(2, 3)
+	for _, v := range x.Data {
 		if v != 1 {
 			t.Fatal("Ones must fill with 1")
 		}
 	}
-	f := Full(2.5, 4)
-	for _, v := range f.Data {
-		if v != 2.5 {
-			t.Fatal("Full must fill with the value")
-		}
-	}
-}
-
-func TestFillAndZero(t *testing.T) {
-	x := Ones(3)
-	x.Fill(7)
-	if x.Data[1] != 7 {
-		t.Fatal("Fill failed")
-	}
 	x.Zero()
-	if x.Data[2] != 0 {
-		t.Fatal("Zero failed")
-	}
-}
-
-func TestCopyFromMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom size mismatch did not panic")
+	for _, v := range x.Data {
+		if v != 0 {
+			t.Fatal("Zero must clear every element")
 		}
-	}()
-	New(3).CopyFrom(New(4))
+	}
 }
 
 func TestRowPanicsOnNonMatrix(t *testing.T) {
@@ -90,7 +69,9 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	b := g.Uniform(-1, 1, 5, 6)
 	want := MatMul(a, b)
 	dst := New(4, 6)
-	dst.Fill(99) // must be overwritten, not accumulated
+	for i := range dst.Data {
+		dst.Data[i] = 99 // must be overwritten, not accumulated
+	}
 	MatMulInto(dst, a, b)
 	if !Equal(want, dst, 0) {
 		t.Fatal("MatMulInto disagrees with MatMul")

@@ -80,7 +80,7 @@ func TestSessionCacheHitSkipsOffload(t *testing.T) {
 	if second.Pred != first.Pred {
 		t.Fatalf("cached pred %d != offloaded pred %d", second.Pred, first.Pred)
 	}
-	if second.RequestID != "" || second.PayloadBytes != 0 || second.EdgeTime != 0 {
+	if second.RequestID != "" || second.PayloadBytes != 0 || second.Stages.RTT != 0 {
 		t.Fatalf("a hit sends nothing: %+v", second)
 	}
 	if second.Exited || second.Degraded {

@@ -49,30 +49,6 @@ func TestRecognizeWithQ8Codec(t *testing.T) {
 	}
 }
 
-// TestRecognizeBatchWithCodec checks the coalesced batch path also honours
-// the selected codec and attributes payload bytes per sample.
-func TestRecognizeBatchWithCodec(t *testing.T) {
-	c, _, test, done := trainServeClient(t, 0.0) // never exit
-	defer done()
-	if err := c.setCodec("f16"); err != nil {
-		t.Fatal(err)
-	}
-	n := 4
-	xs, _ := gatherBatch(test, n)
-	results, err := c.RecognizeBatch(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Exited {
-			t.Fatalf("sample %d exited with tau=0", i)
-		}
-		if res.PayloadBytes <= 0 {
-			t.Fatalf("sample %d payload bytes = %d", i, res.PayloadBytes)
-		}
-	}
-}
-
 // TestNegotiateCodec covers both negotiation outcomes: a codec the server
 // advertises is selected, and one it refuses falls back to raw.
 func TestNegotiateCodec(t *testing.T) {

@@ -45,7 +45,7 @@ func TestFallbackToBinaryOnEdgeOutage(t *testing.T) {
 	if res.Pred != want {
 		t.Fatalf("degraded pred %d, binary pred %d", res.Pred, want)
 	}
-	if res.EdgeTime != 0 || res.ServerMicros != 0 {
+	if res.Stages.RTT != 0 || res.ServerMicros != 0 {
 		t.Fatalf("degraded result must not report edge timings: %+v", res)
 	}
 }
@@ -95,7 +95,7 @@ func TestRecognizeUnderConcurrentEdgeLoad(t *testing.T) {
 	x0, _ := test.Sample(0)
 	batch0 := x0.Reshape(1, x0.Dim(0), x0.Dim(1), x0.Dim(2))
 	var frame bytes.Buffer
-	if err := collab.WriteTensor(&frame, m.ForwardShared(batch0, false)); err != nil {
+	if err := collab.WriteTensorCodec(&frame, m.ForwardShared(batch0, false), collab.Raw); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})

@@ -16,7 +16,7 @@ type Option func(*Client) error
 //
 //	c, err := webclient.New(url,
 //		webclient.WithCodec("q8"),
-//		webclient.WithTimeout(5*time.Second),
+//		webclient.WithSessionCache(64),
 //	)
 //
 // With no options the client uses a private http.Client with a 30-second
@@ -32,7 +32,8 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 }
 
 // WithHTTPClient makes the client issue requests through hc — the hook for
-// custom transports, proxies or test doubles. A nil hc keeps the default.
+// custom transports, timeouts, proxies or test doubles. A nil hc keeps the
+// default.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) error {
 		if hc != nil {
@@ -134,22 +135,6 @@ func WithRevalidateEvery(k int) Option {
 func WithVersionPin(enabled bool) Option {
 	return func(c *Client) error {
 		c.pinVersion = enabled
-		return nil
-	}
-}
-
-// WithTimeout bounds every HTTP request (bundle download and inference)
-// to d; d <= 0 is rejected. Options apply in order, so place WithTimeout
-// after WithHTTPClient to override that client's timeout — the caller's
-// http.Client is copied, never mutated.
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) error {
-		if d <= 0 {
-			return fmt.Errorf("webclient: non-positive timeout %v", d)
-		}
-		hc := *c.http
-		hc.Timeout = d
-		c.http = &hc
 		return nil
 	}
 }

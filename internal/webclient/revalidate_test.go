@@ -291,82 +291,3 @@ func TestRevalidateClearsSessionCache(t *testing.T) {
 		t.Fatalf("post-swap offload served %q, bundle is %q", res.ModelVersion, c.ModelVersion())
 	}
 }
-
-// A pinned batch surfaces a hot-swap exactly like a pinned Recognize: the
-// 409 is ErrVersionConflict even with fallback on, and no degraded answers
-// come back.
-func TestRecognizeBatchVersionPinConflict(t *testing.T) {
-	c, _, s, m2, done := newSwapRig(t, 0, WithVersionPin(true))
-	defer done()
-	defer s.Close()
-	c.FallbackToBinary = true
-	if _, err := s.Register("demo", m2); err != nil {
-		t.Fatal(err)
-	}
-	xs := tensor.NewRNG(7).Uniform(0, 1, 3, 1, 28, 28)
-	results, err := c.RecognizeBatch(context.Background(), xs)
-	if !errors.Is(err, ErrVersionConflict) || results != nil {
-		t.Fatalf("stale pin: got %v and %d results, want ErrVersionConflict and none", err, len(results))
-	}
-}
-
-// Batched offloads report what Recognize reports: the serving version, the
-// trace ID and, after a hot-swap, BundleStale.
-func TestRecognizeBatchReportsBundleStale(t *testing.T) {
-	c, _, s, m2, done := newSwapRig(t, 0) // tau=0: always offload
-	defer done()
-	defer s.Close()
-	ctx := context.Background()
-	rng := tensor.NewRNG(7)
-
-	results, err := c.RecognizeBatch(ctx, rng.Uniform(0, 1, 3, 1, 28, 28))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.BundleStale || r.ModelVersion != c.ModelVersion() || r.TraceID == "" {
-			t.Fatalf("fresh bundle, sample %d: stale=%v version=%q trace=%q", i, r.BundleStale, r.ModelVersion, r.TraceID)
-		}
-	}
-	if _, err := s.Register("demo", m2); err != nil {
-		t.Fatal(err)
-	}
-	results, err = c.RecognizeBatch(ctx, rng.Uniform(0, 1, 3, 1, 28, 28))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if !r.BundleStale || r.ModelVersion == "" || r.ModelVersion == c.ModelVersion() || r.TraceID == "" {
-			t.Fatalf("after the swap, sample %d: stale=%v version=%q (bundle %q) trace=%q",
-				i, r.BundleStale, r.ModelVersion, c.ModelVersion(), r.TraceID)
-		}
-	}
-}
-
-// A batch consults the session cache: repeating a batch of distinct frames
-// sends no request and answers every sample from the cache.
-func TestRecognizeBatchSessionCache(t *testing.T) {
-	c, ct, s, _, done := newSwapRig(t, 0, WithSessionCache(8))
-	defer done()
-	defer s.Close()
-	ctx := context.Background()
-	xs := tensor.NewRNG(7).Uniform(0, 1, 3, 1, 28, 28)
-
-	first, err := c.RecognizeBatch(ctx, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := len(ct.statuses)
-	again, err := c.RecognizeBatch(ctx, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(ct.statuses) - sent; n != 0 {
-		t.Fatalf("repeated batch sent %d requests, want 0", n)
-	}
-	for i, r := range again {
-		if first[i].CacheHit || !r.CacheHit || r.Pred != first[i].Pred {
-			t.Fatalf("sample %d: first %+v, repeat %+v", i, first[i], r)
-		}
-	}
-}

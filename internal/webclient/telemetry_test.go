@@ -127,27 +127,3 @@ func TestDecisionTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// A batch offload shares one request: every non-exited sample reports the
-// same ID and a per-sample agreement verdict.
-func TestBatchTelemetry(t *testing.T) {
-	c, _, test, done := trainServeClient(t, 0)
-	defer done()
-	xs := test.Subset(4).X
-	results, err := c.RecognizeBatch(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := results[0].RequestID
-	if id == "" {
-		t.Fatal("batch offload must carry a request ID")
-	}
-	for i, r := range results {
-		if r.RequestID != id {
-			t.Fatalf("sample %d rode the same request but reports ID %q != %q", i, r.RequestID, id)
-		}
-		if r.BinaryAgree == nil || *r.BinaryAgree != (r.BinaryPred == r.Pred) {
-			t.Fatalf("sample %d agreement wrong: %+v", i, r)
-		}
-	}
-}

@@ -1,9 +1,10 @@
 // Package webclient is the browser-side inference library of the paper: it
-// downloads a model bundle from the edge server, runs the shared first
-// convolutional layer and the binary branch locally (the role the paper's
-// JS/WASM library plays inside the mobile web browser), and falls back to
-// the edge server with the intermediate tensor when the binary branch's
-// normalized entropy is above the exit threshold.
+// downloads a model bundle from the edge server and then, one camera frame
+// at a time, runs the shared first convolutional layer and the binary
+// branch locally (the role the paper's JS/WASM library plays inside the
+// mobile web browser), falling back to the edge server with that frame's
+// intermediate tensor when the binary branch's normalized entropy is not
+// below the exit threshold.
 package webclient
 
 import (
@@ -30,12 +31,11 @@ import (
 //
 // A Client models one browser session and runs one recognition at a time.
 // Its model runs out of the arena models.BuildClient installs: each
-// Recognize or RecognizeBatch first rewinds it (ResetScratch), so the
-// tensors a recognition computes — conv1's output, the branch's
-// activations and logits — are valid until the next Recognize or
-// RecognizeBatch, and a Result holds none of them. Recognize and
-// RecognizeBatch therefore must not run concurrently with each other, nor
-// with LoadModel or RevalidateBundle. The arena belongs to the installed
+// Recognize first rewinds it (ResetScratch), so the tensors a recognition
+// computes — conv1's output, the branch's activations and logits — are
+// valid until the next Recognize, and a Result holds none of them.
+// Recognize therefore must not run concurrently with itself, nor with
+// LoadModel or RevalidateBundle. The arena belongs to the installed
 // model, so a newly installed version brings its own and no layer can
 // write into the one it replaced. SetTau, Tau and the exit-backlog
 // accounting are lock-free and safe to call from other goroutines while a
@@ -333,10 +333,6 @@ type Result struct {
 	// value loaded once at decision time, so Exited == (Entropy < Tau)
 	// even when a controller push lands mid-flight.
 	Tau float64
-	// ClientTime is the measured local compute time.
-	ClientTime time.Duration
-	// EdgeTime is the measured round trip to the edge (zero when exited).
-	EdgeTime time.Duration
 	// ServerMicros is the server-reported compute time (zero when exited).
 	ServerMicros int64
 	// PayloadBytes is the encoded offload frame size actually sent (zero
@@ -347,8 +343,6 @@ type Result struct {
 	Degraded bool
 	// Stages is the measured latency decomposition: local compute, frame
 	// encode, round trip, and the server's echoed per-stage breakdown.
-	// ClientTime and EdgeTime above are Stages.Local and Stages.RTT,
-	// retained for compatibility.
 	Stages StageTimes
 	// BinaryPred is the binary branch's top-1, recorded whether or not the
 	// sample exited locally (on exit it equals Pred).
@@ -382,137 +376,96 @@ type Result struct {
 	BundleStale bool
 }
 
-// ErrVersionConflict is returned (wrapped) by Recognize and RecognizeBatch
-// when the client pinned its bundle version (WithVersionPin) and the edge
-// has hot-swapped to a different one: the offload was rejected with 409
-// before any forward ran. Recover with RevalidateBundle, then retry.
+// ErrVersionConflict is returned (wrapped) by Recognize when the client
+// pinned its bundle version (WithVersionPin) and the edge has hot-swapped
+// to a different one: the offload was rejected with 409 before any forward
+// ran. Recover with RevalidateBundle, then retry.
 var ErrVersionConflict = errors.New("webclient: model version conflict")
 
-// Recognize runs Algorithm 2 on one CHW sample: a batch of one.
+// Recognize runs the browser half of Algorithm 2 on one CHW sample x, which
+// must have the loaded model's input shape: conv1 and the packed binary
+// branch run here, and then the sample exits on the branch's answer, is
+// answered from the session cache, or ships conv1's output to the edge in
+// one frame. Every stage and telemetry field of the Result is this
+// sample's own.
 func (c *Client) Recognize(ctx context.Context, x *tensor.Tensor) (Result, error) {
-	var out [1]Result
-	if err := c.recognize(ctx, x.Reshape(append([]int{1}, x.Shape...)...), out[:]); err != nil {
-		return Result{}, err
-	}
-	return out[0], nil
-}
-
-// RecognizeBatch runs Algorithm 2 over a batch of samples (NCHW), taking
-// every step Recognize takes, with one coalesced edge request for the
-// samples that neither exit nor hit the session cache — the batching a
-// real AR client does when it scans several detections per camera frame.
-func (c *Client) RecognizeBatch(ctx context.Context, xs *tensor.Tensor) ([]Result, error) {
-	if xs.Rank() != 4 {
-		return nil, fmt.Errorf("webclient: RecognizeBatch expects NCHW input, got %v", xs.Shape)
-	}
-	results := make([]Result, xs.Dim(0))
-	if err := c.recognize(ctx, xs, results); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// recognize is the browser half of Algorithm 2 over the NCHW batch xs,
-// writing sample i's outcome to out[i]. Each sample exits locally, is
-// answered from the session cache, or rides the call's one offload frame.
-// Costs the samples share — the local forward, the frame's encode, bytes
-// and round trip, the edge's echoed stages — are attributed evenly across
-// the samples that shared them; the trace parent carries them whole.
-func (c *Client) recognize(ctx context.Context, xs *tensor.Tensor, out []Result) error {
 	if c.model == nil {
-		return fmt.Errorf("webclient: no model loaded")
+		return Result{}, fmt.Errorf("webclient: no model loaded")
+	}
+	cfg := c.model.Cfg
+	if len(x.Shape) != 3 || x.Shape[0] != cfg.InC || x.Shape[1] != cfg.InH || x.Shape[2] != cfg.InW {
+		return Result{}, fmt.Errorf("webclient: sample shape %v, the loaded %s takes %dx%dx%d",
+			x.Shape, c.model.Name, cfg.InC, cfg.InH, cfg.InW)
 	}
 	start := time.Now()
 	c.model.ResetScratch()
-	shared := c.model.ForwardShared(xs, false)
+	shared := c.model.ForwardShared(x.Reshape(1, cfg.InC, cfg.InH, cfg.InW), false)
 	// The client build's binary layers are packed: this is the XNOR engine
 	// the paper's WASM library runs in the browser.
 	logits := c.model.ForwardBinary(shared, false)
-	probs := tensor.Softmax(logits)
-	// One tau load per call: the same value feeds every exit test and the
-	// telemetry frame, so a concurrent SetTau/controller push cannot mix
-	// thresholds within this call.
+	// One tau load per recognition: the same value feeds the exit test and
+	// the telemetry frame, so a concurrent SetTau/controller push cannot
+	// mix thresholds within this decision.
 	tau := c.Tau()
-	// Session-cache keys of the samples that reach the cache.
-	var keys []collab.Key
-	if c.cache != nil {
-		keys = make([]collab.Key, len(out))
+	r := Result{
+		Entropy:    exitpolicy.NormalizedEntropy(tensor.Softmax(logits).Row(0)),
+		Tau:        tau,
+		BinaryPred: tensor.ArgmaxRow(logits.Row(0)),
 	}
-	var pending []int
-	for i := range out {
-		r := &out[i]
-		*r = Result{Entropy: exitpolicy.NormalizedEntropy(probs.Row(i)), Tau: tau, BinaryPred: tensor.ArgmaxRow(logits.Row(i))}
-		if exitpolicy.ShouldExit(r.Entropy, tau) && !c.mustFlush() {
-			r.Exited, r.Pred = true, r.BinaryPred
-			c.pendingExits.Add(1)
-			continue
-		}
+	var key collab.Key
+	if exitpolicy.ShouldExit(r.Entropy, tau) && !c.mustFlush() {
+		r.Exited, r.Pred = true, r.BinaryPred
+		c.pendingExits.Add(1)
+	} else if c.cache != nil {
 		// Session cache: hash the payload this sample would carry and reuse
 		// the edge's previous answer for an identical frame. A hit due for
-		// revalidation stays pending for a real offload, which refreshes the
-		// entry on success (cache.put) — or serves the cached answer anyway
-		// if the edge turns out to be unreachable.
-		if keys != nil {
-			k, err := collab.TensorKey(c.wireCodec(), shared.Batch(i))
-			if err != nil {
-				return fmt.Errorf("webclient: encode intermediate: %w", err)
-			}
-			keys[i] = k
-			if ent := c.cache.get(k); ent != nil {
-				ent.uses++
-				if c.revalidateEvery <= 0 || ent.uses < c.revalidateEvery {
-					c.pendingCacheHits.Add(1)
-					r.CacheHit, r.Pred, r.BinaryAgree = true, ent.pred, agreement(r.BinaryPred, ent.pred)
-					continue
-				}
+		// revalidation is offloaded anyway, which refreshes the entry on
+		// success (cache.put) — or serves the cached answer if the edge
+		// turns out to be unreachable.
+		var err error
+		if key, err = collab.TensorKey(c.wireCodec(), shared.Batch(0)); err != nil {
+			return Result{}, fmt.Errorf("webclient: encode intermediate: %w", err)
+		}
+		if ent := c.cache.get(key); ent != nil {
+			ent.uses++
+			if c.revalidateEvery <= 0 || ent.uses < c.revalidateEvery {
+				c.pendingCacheHits.Add(1)
+				r.CacheHit, r.Pred, r.BinaryAgree = true, ent.pred, agreement(r.BinaryPred, ent.pred)
 			}
 		}
-		pending = append(pending, i)
 	}
-	localAll := time.Since(start)
-	local := localAll / time.Duration(len(out))
-	for i := range out {
-		out[i].ClientTime, out[i].Stages.Local = local, local
+	r.Stages.Local = time.Since(start)
+	if r.Exited || r.CacheHit {
+		return r, nil
 	}
-	if len(pending) == 0 {
-		return nil
+	if err := c.offload(ctx, &r, shared, key); err != nil {
+		return Result{}, err
 	}
+	return r, nil
+}
 
-	// The pending samples travel in one frame: shared itself when all of
-	// them offload, else a gather of their rows.
-	frame := shared
-	if len(pending) < len(out) {
-		per := len(shared.Data) / len(out)
-		frame = tensor.New(append([]int{len(pending)}, shared.Shape[1:]...)...)
-		for j, i := range pending {
-			copy(frame.Data[j*per:(j+1)*per], shared.Data[i*per:(i+1)*per])
-		}
-	}
-	// Telemetry carries the frame's first-sample decision (the documented
-	// v3 semantics) plus the piggybacked backlog — including this call's
-	// own local exits and cache hits.
-	first := &out[pending[0]]
-	tel := c.telemetryFor(first.Entropy, first.BinaryPred, tau)
+// offload ships conv1's output to the edge and completes r from its
+// answer (Algorithm 2 lines 7-9). The frame's telemetry is r's decision
+// plus the piggybacked backlog of local exits and cache hits. key is the
+// frame's session-cache key when the cache is on.
+func (c *Client) offload(ctx context.Context, r *Result, shared *tensor.Tensor, key collab.Key) error {
+	tel := c.telemetryFor(r.Entropy, r.BinaryPred, r.Tau)
 	encodeStart := time.Now()
 	var buf bytes.Buffer
-	if err := collab.WriteTensorTelemetry(&buf, frame, c.wireCodec(), tel); err != nil {
+	if err := collab.WriteTensorTelemetry(&buf, shared, c.wireCodec(), tel); err != nil {
 		c.refundExits(tel)
 		return fmt.Errorf("webclient: encode intermediate: %w", err)
 	}
-	encode := time.Since(encodeStart)
-	share := time.Duration(len(pending))
-	for _, i := range pending {
-		out[i].Stages.Encode = encode / share
-		out[i].PayloadBytes = buf.Len() / len(pending)
-	}
+	r.Stages.Encode = time.Since(encodeStart)
+	r.PayloadBytes = buf.Len()
 	id := collab.NewRequestID()
 	// The trace parent ships the client-side stage timings with the
 	// request, so the edge journal alone can render the full client→edge
 	// waterfall (/v1/debug/trace/{id}) without a second collection hop.
-	tp := collab.TraceParent{ID: id, LocalMicros: localAll.Microseconds(), EncodeMicros: encode.Microseconds()}
+	tp := collab.TraceParent{ID: id, LocalMicros: r.Stages.Local.Microseconds(), EncodeMicros: r.Stages.Encode.Microseconds()}
 	edgeStart := time.Now()
 	ir, err := c.edgeInfer(ctx, &buf, id, tp)
-	rtt := time.Since(edgeStart) / share
+	rtt := time.Since(edgeStart)
 	if err != nil {
 		c.refundExits(tel)
 		if errors.Is(err, ErrVersionConflict) {
@@ -522,50 +475,36 @@ func (c *Client) recognize(ctx context.Context, xs *tensor.Tensor, out []Result)
 			// pin exists to surface — return it so the caller revalidates.
 			return err
 		}
-		for _, i := range pending {
-			r := &out[i]
-			if keys != nil {
-				if ent := c.cache.get(keys[i]); ent != nil {
-					// Edge outage, but this exact frame has a cached answer —
-					// serve it (stale revalidation included) instead of
-					// degrading to the binary branch or failing the scan.
-					c.pendingCacheHits.Add(1)
-					r.CacheHit, r.Degraded, r.Pred, r.PayloadBytes = true, true, ent.pred, 0
-					r.BinaryAgree = agreement(r.BinaryPred, ent.pred)
-					continue
-				}
+		if c.cache != nil {
+			if ent := c.cache.get(key); ent != nil {
+				// Edge outage, but this exact frame has a cached answer —
+				// serve it (stale revalidation included) instead of
+				// degrading to the binary branch or failing the scan.
+				c.pendingCacheHits.Add(1)
+				r.CacheHit, r.Degraded, r.Pred, r.PayloadBytes = true, true, ent.pred, 0
+				r.BinaryAgree = agreement(r.BinaryPred, ent.pred)
+				return nil
 			}
-			if !c.FallbackToBinary {
-				return err
-			}
-			r.Degraded, r.Pred = true, r.BinaryPred
 		}
+		if !c.FallbackToBinary {
+			return err
+		}
+		r.Degraded, r.Pred = true, r.BinaryPred
 		return nil
 	}
-	if len(ir.Preds) == 0 {
-		// An edge that answers a one-sample frame with Pred alone.
-		ir.Preds = []int{ir.Pred}
+	if c.cache != nil {
+		c.cache.put(key, ir.Pred)
 	}
-	if len(ir.Preds) != len(pending) {
-		return fmt.Errorf("webclient: edge returned %d predictions for %d samples", len(ir.Preds), len(pending))
-	}
-	reqID := id
+	r.Pred, r.ServerMicros = ir.Pred, ir.ServerMicros
+	r.Stages.RTT = rtt
+	r.Stages.mergeEcho(ir.Stages)
+	r.RequestID, r.TraceID = id, id
 	if ir.RequestID != "" {
-		reqID = ir.RequestID
+		r.RequestID = ir.RequestID
 	}
-	stale := ir.Version != "" && c.bundleVersion != "" && ir.Version != c.bundleVersion
-	for j, i := range pending {
-		r := &out[i]
-		if keys != nil {
-			c.cache.put(keys[i], ir.Preds[j])
-		}
-		r.Pred, r.ServerMicros = ir.Preds[j], ir.ServerMicros
-		r.EdgeTime, r.Stages.RTT = rtt, rtt
-		r.Stages.mergeEcho(ir.Stages, len(pending))
-		r.RequestID, r.TraceID = reqID, id
-		r.BinaryAgree = agreement(r.BinaryPred, r.Pred)
-		r.ModelVersion, r.BundleStale = ir.Version, stale
-	}
+	r.BinaryAgree = agreement(r.BinaryPred, r.Pred)
+	r.ModelVersion = ir.Version
+	r.BundleStale = ir.Version != "" && c.bundleVersion != "" && ir.Version != c.bundleVersion
 	c.applyTauPush(ir.Tau)
 	return nil
 }

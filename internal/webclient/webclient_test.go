@@ -3,6 +3,7 @@ package webclient
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"lcrs/internal/dataset"
 	"lcrs/internal/edge"
 	"lcrs/internal/models"
+	"lcrs/internal/tensor"
 	"lcrs/internal/training"
 )
 
@@ -112,6 +114,41 @@ func TestRecognizeWithoutModel(t *testing.T) {
 	}
 }
 
+// A sample whose shape is not the loaded model's input is refused with an
+// error before any layer runs — a client started against the wrong dataset
+// must not panic inside conv1 or the binary branch — and the client keeps
+// answering well-formed samples afterwards.
+func TestRecognizeRejectsWrongShape(t *testing.T) {
+	c, _, s, _, done := newSwapRig(t, 0.5) // a LeNet client of 1x28x28 samples
+	defer done()
+	defer s.Close()
+	ctx := context.Background()
+	g := tensor.NewRNG(1)
+	for _, shape := range [][]int{{1, 14, 14}, {3, 28, 28}, {1, 1, 28, 28}, {28, 28}} {
+		res, err := c.Recognize(ctx, g.Uniform(0, 1, shape...))
+		if err == nil || !strings.Contains(err.Error(), "1x28x28") {
+			t.Errorf("shape %v: got %+v, %v; want an error naming 1x28x28", shape, res, err)
+		}
+	}
+	if _, err := c.Recognize(ctx, sampleFrame(t)); err != nil {
+		t.Fatalf("well-formed sample after refusals: %v", err)
+	}
+}
+
+// Options that cannot configure a working client fail construction.
+func TestNewRejectsBadOptions(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"unknown codec":         WithCodec("zstd"),
+		"negative exit flush":   WithExitFlush(-1),
+		"oversized cache":       WithSessionCache(1<<20 + 1),
+		"negative revalidation": WithRevalidateEvery(-1),
+	} {
+		if _, err := New("http://127.0.0.1:1", opt); err == nil {
+			t.Errorf("%s: New succeeded", name)
+		}
+	}
+}
+
 func TestModelsListing(t *testing.T) {
 	c, _, _, done := trainServeClient(t, 0.5)
 	defer done()
@@ -146,7 +183,7 @@ func TestRecognizeMatchesDirectEvaluation(t *testing.T) {
 		if res.Pred != want {
 			t.Fatalf("sample %d: client pred %d, direct pred %d", i, res.Pred, want)
 		}
-		if res.ClientTime <= 0 || res.EdgeTime != 0 {
+		if res.Stages.Local <= 0 || res.Stages.RTT != 0 {
 			t.Fatalf("timings wrong for exit: %+v", res)
 		}
 	}
@@ -166,11 +203,11 @@ func TestRecognizeCollaborativePath(t *testing.T) {
 		if res.Exited {
 			t.Fatal("tau=0 must never exit")
 		}
-		if res.EdgeTime <= 0 {
+		if res.Stages.RTT <= 0 {
 			t.Fatal("edge round trip must be measured")
 		}
 		batch := x.Reshape(1, x.Dim(0), x.Dim(1), x.Dim(2))
-		want := m.ForwardMain(batch, false).Argmax()
+		want := m.ForwardMainRest(m.ForwardShared(batch, false), false).Argmax()
 		if res.Pred != want {
 			t.Fatalf("sample %d: edge pred %d, direct main pred %d", i, res.Pred, want)
 		}
