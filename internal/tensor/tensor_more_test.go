@@ -5,12 +5,28 @@ import (
 	"testing"
 )
 
-func TestOnesAndZero(t *testing.T) {
-	x := Ones(2, 3)
-	for _, v := range x.Data {
-		if v != 1 {
-			t.Fatal("Ones must fill with 1")
+func TestOnesAndFull(t *testing.T) {
+	for _, shape := range [][]int{{2, 3}, {4}, {1, 2, 2}} {
+		o := Ones(shape...)
+		want := 1
+		for _, d := range shape {
+			want *= d
 		}
+		if o.Len() != want {
+			t.Fatalf("Ones%v: %d elements, want %d", shape, o.Len(), want)
+		}
+		for _, v := range o.Data {
+			if v != 1 {
+				t.Fatalf("Ones%v must fill every element with 1", shape)
+			}
+		}
+	}
+}
+
+func TestFillAndZero(t *testing.T) {
+	x := Ones(3)
+	for i := range x.Data {
+		x.Data[i] = 7
 	}
 	x.Zero()
 	for _, v := range x.Data {
